@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from statjpeg.corpus import scan_corpus
 from statjpeg.synth import generate_corpus
+
+# Derandomized, so every run draws the same examples; no deadline, because
+# example times vary with machine load.
+settings.register_profile("statjpeg", derandomize=True, deadline=None)
+settings.load_profile("statjpeg")
 
 
 @pytest.fixture

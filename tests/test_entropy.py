@@ -171,3 +171,14 @@ def test_huffman_table_validation():
         HuffmanTable([0] * 15, [])
     with pytest.raises(InvalidInputError):
         HuffmanTable([1] + [0] * 15, [])  # declares 1 code, lists 0 values
+    # T.81 Annex C: four 1-bit codes over-subscribe the code space, and two
+    # 1-bit codes (or any complete code) assign the all-ones code.
+    with pytest.raises(InvalidInputError, match="over-subscribe"):
+        HuffmanTable([4] + [0] * 15, [0, 1, 2, 3])
+    with pytest.raises(InvalidInputError, match="all-ones"):
+        HuffmanTable([2] + [0] * 15, [0, 1])
+    with pytest.raises(InvalidInputError, match="all-ones"):
+        HuffmanTable([1, 1, 2] + [0] * 13, [0, 1, 2, 3])
+    HuffmanTable([1, 1, 1] + [0] * 13, [0, 1, 2])  # 0, 10, 110: 111 unused
+    with pytest.raises(InvalidInputError, match="bytes"):
+        HuffmanTable([1] + [0] * 15, [256])

@@ -158,3 +158,14 @@ def test_interop_we_read_pillow_files(rng):
     theirs = np.asarray(PIL.open(buf).convert("RGB"))
     assert (ours.width, ours.height) == (31, 24)
     assert np.abs(ours.to_array().astype(int) - theirs.astype(int)).max() <= 4
+
+
+def test_declared_size_beyond_scan_rejected_before_allocating(rng):
+    # A small grayscale file whose SOF0 claims 65535x65535 pixels: decoding
+    # it would need 16 GiB of coefficients, but its scan cannot hold even
+    # 2 bits per declared block.
+    data = bytearray(encode_image(random_gray(rng, 16, 16), ONES))
+    sof = data.index(b"\xff\xc0")
+    data[sof + 5:sof + 9] = b"\xff\xff\xff\xff"  # height, width
+    with pytest.raises(CorruptStreamError, match="cannot hold"):
+        decode_image(bytes(data))
