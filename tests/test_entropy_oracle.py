@@ -102,6 +102,23 @@ def test_encode_matches_oracle(n_mcus, seed, n_comp, kinds, dc_swing):
     assert all(np.array_equal(a, b) for a, b in zip(comps, decoded))
 
 
+def test_encode_with_16_bit_zrl_code_matches_oracle():
+    # Swap ZRL with the last Annex K luma symbol, which has a 16-bit code.
+    # Three ZRLs, a 16-bit code, its magnitude bits and an EOB no longer
+    # fit one 64-bit word, so the ZRLs must be packed on their own.
+    values = list(huffman.AC_LUMA_VALUES)
+    zrl = values.index(0xF0)
+    values[zrl], values[-1] = values[-1], values[zrl]
+    tables = ([DC_LUMA], [HuffmanTable(huffman.AC_LUMA_BITS, values)])
+    blocks = make_blocks(np.random.default_rng(5), 300, ("long_runs", "sparse"), True)
+    blocks[::2, 1:] = 0
+    blocks[::4, 62] = -1023  # three ZRLs, symbol 0xDA, 10 bits and EOB
+    blocks[2::4, 63] = 1023  # three ZRLs, symbol 0xEA and 10 bits
+    expected = oracle.entropy_encode([blocks], *tables)
+    assert entropy_encode([blocks], *tables) == expected
+    np.testing.assert_array_equal(entropy_decode(expected, 300, *tables)[0], blocks)
+
+
 @settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
