@@ -7,21 +7,8 @@ Run:  python demos/04_benchmark.py
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from statjpeg import (
-    FrequencyStats,
-    coefficient_sparsity,
-    decode_image,
-    derive_plm_table,
-    encode_image,
-    load_image,
-    psnr,
-    rm_hf_table,
-    same_q_table,
-    scan_corpus,
-    standard_table,
-)
+from statjpeg import FrequencyStats, load_image, save_stats, scan_corpus
+from statjpeg.cli import resolve_table_source, run_benchmark
 from statjpeg.synth import generate_corpus
 
 workdir = Path(tempfile.mkdtemp(prefix="statjpeg_bench_"))
@@ -30,56 +17,35 @@ paths = manifest.image_paths()
 print(f"benchmarking over {len(paths)} images")
 
 # --- stage 1: corpus statistics -> designed table ----------------------------
-stats = FrequencyStats()
+stats = FrequencyStats(source_digest=manifest.digest)
 for path in paths:
     stats.accumulate_image(load_image(path))
-plm = derive_plm_table(stats.finalize().deltas())
+save_stats(stats.finalize(), workdir / "stats.json")
 
-# --- stage 2: assemble the contenders ----------------------------------------
-rm_luma, drop = rm_hf_table(standard_table(100, "luma"), 3)
-rm_chroma, _ = rm_hf_table(standard_table(100, "chroma"), 3)
-contenders = {
-    "designed (plm)": lambda img: encode_image(img, plm),
-    "same-q:4": lambda img: encode_image(img, same_q_table(4)),
-    "rm-hf:3 @ qf100": lambda img: encode_image(
-        img, rm_luma, rm_chroma, drop_zigzag=drop
-    ),
-    "standard qf100": lambda img: encode_image(
-        img, standard_table(100, "luma"), standard_table(100, "chroma")
-    ),
+# --- stage 2: the contenders, as the CLI's --table specs ---------------------
+specs = {
+    "designed (plm)": f"plm:{workdir / 'stats.json'}",
+    "same-q:4": "same-q:4",
+    "rm-hf:3 @ qf100": "rm-hf:3",
+    "standard qf100": "standard-qf:100",
 }
-sparsity_tables = {
-    "designed (plm)": plm,
-    "same-q:4": same_q_table(4),
-    "rm-hf:3 @ qf100": rm_luma,
-    "standard qf100": standard_table(100, "luma"),
-}
+sources = [resolve_table_source(spec) for spec in specs.values()]
 
-# --- stage 3: measure ---------------------------------------------------------
-totals = {label: 0 for label in contenders}
-psnrs = {label: [] for label in contenders}
-zeros = {label: [] for label in contenders}
-for path in paths:
-    img = load_image(path)
-    for label, encode in contenders.items():
-        data = encode(img)
-        totals[label] += len(data)
-        quality = psnr(img, decode_image(data))
-        psnrs[label].append(quality.psnr if quality.psnr is not None else np.inf)
-        zeros[label].append(
-            coefficient_sparsity(img, sparsity_tables[label]).zero_fraction
-        )
+# --- stage 3: measure (the same loop as `statjpeg benchmark`) ---------------
+_, aggregates = run_benchmark(manifest, sources)
 
-reference = totals["standard qf100"]
 print(f"\n{'source':>16} {'bytes':>9} {'CR':>6} {'PSNR dB':>8} {'zero frac':>9}")
-for label in contenders:
-    cr = reference / totals[label]
+cr = {}
+for label, spec in specs.items():
+    agg = aggregates[spec]
+    cr[label] = agg["compression_rate"]
+    mean_psnr = agg["mean_psnr_db"]
+    psnr_text = "lossless" if mean_psnr is None else f"{mean_psnr:.2f}"
     print(
-        f"{label:>16} {totals[label]:9d} {cr:6.2f} "
-        f"{np.mean(psnrs[label]):8.2f} {np.mean(zeros[label]):9.4f}"
+        f"{label:>16} {agg['bytes_candidate']:9d} {cr[label]:6.2f} "
+        f"{psnr_text:>8} {agg['mean_zero_fraction']:9.4f}"
     )
 
-cr = {label: reference / total for label, total in totals.items()}
 print(
     "\nrate ordering: designed > uniform-4 > hf-removal > reference"
     if cr["designed (plm)"] > cr["same-q:4"] > cr["rm-hf:3 @ qf100"] > 1.0
@@ -87,4 +53,4 @@ print(
 )
 print("the designed table trades PSNR it does not need for rate:",
       f"{cr['designed (plm)']:.1f}x the reference at "
-      f"{np.mean(psnrs['designed (plm)']):.1f} dB")
+      f"{aggregates[specs['designed (plm)']]['mean_psnr_db']:.1f} dB")

@@ -193,13 +193,15 @@ def _aggregate(rows_for_source):
     }
 
 
-def cmd_benchmark(args):
-    manifest = scan_corpus(args.corpus_dir)
-    params = _plm_params(args)
-    sources = [resolve_table_source(s, params) for s in args.table]
+def run_benchmark(manifest, sources):
+    """Encode every corpus image with each TableSource and measure it.
+
+    Per image the QF-100 reference is encoded first, then each source is
+    encoded and its file decoded for PSNR.  Returns (rows, aggregates): one
+    row per image and source, and per source label the corpus totals.
+    """
     ref_luma = standard_table(100, "luma")
     ref_chroma = standard_table(100, "chroma")
-
     rows = []
     for path in manifest.image_paths():
         img = load_image(path)
@@ -209,7 +211,7 @@ def cmd_benchmark(args):
                 img, source.luma, source.chroma, drop_zigzag=source.drop
             )
             quality = psnr(img, decode_image(data))
-            sparsity = coefficient_sparsity(img, source.luma)
+            sparsity = coefficient_sparsity(img, source.luma, drop_zigzag=source.drop)
             rows.append({
                 "path": str(path.relative_to(manifest.root)),
                 "source": source.label,
@@ -219,6 +221,18 @@ def cmd_benchmark(args):
                 "psnr": quality.psnr,
                 "zero_fraction": sparsity.zero_fraction,
             })
+    aggregates = {
+        source.label: _aggregate([r for r in rows if r["source"] == source.label])
+        for source in sources
+    }
+    return rows, aggregates
+
+
+def cmd_benchmark(args):
+    manifest = scan_corpus(args.corpus_dir)
+    params = _plm_params(args)
+    sources = [resolve_table_source(s, params) for s in args.table]
+    rows, aggregates = run_benchmark(manifest, sources)
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -235,10 +249,6 @@ def cmd_benchmark(args):
                     f"{r['zero_fraction']:.6f}",
                 ])
 
-    aggregates = {
-        source.label: _aggregate([r for r in rows if r["source"] == source.label])
-        for source in sources
-    }
     if args.json:
         summary = {
             "corpus": str(manifest.root),

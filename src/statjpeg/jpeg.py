@@ -9,13 +9,9 @@ from . import huffman, jfif
 from .blocks import assemble_plane, block_grid, partition_blocks
 from .color import color_convert_forward, color_convert_inverse
 from .dct import forward_dct, inverse_dct
-from .errors import (
-    InvalidInputError,
-    UnsupportedFeatureError,
-    UnsupportedSizeError,
-)
+from .errors import UnsupportedFeatureError, UnsupportedSizeError
 from .image import RasterImage
-from .quant import QuantTable, dequantize, inverse_zigzag, quantize, zigzag
+from .quant import QuantTable, dequantize, drop_positions, inverse_zigzag, quantize, zigzag
 
 MAX_DIMENSION = 65535
 
@@ -27,9 +23,19 @@ def _plane_to_scan_blocks(plane, table, drop_zigzag):
     coeffs = forward_dct(blocks)
     quantized = quantize(coeffs, table)
     scan = zigzag(quantized.reshape(-1, 64))
-    if drop_zigzag:
-        scan[:, sorted(drop_zigzag)] = 0
+    scan[:, drop_zigzag] = 0
     return scan
+
+
+# Annex-K Huffman tables by Huffman table id: 0 luma, 1 chroma.
+_DC_TABLES = (huffman.DC_LUMA, huffman.DC_CHROMA)
+_AC_TABLES = (huffman.AC_LUMA, huffman.AC_CHROMA)
+
+
+def _component_layout(channels, single_table):
+    """(component id, quantization table id, Huffman table id) per component."""
+    chroma_tq = 0 if single_table else 1
+    return [(1, 0, 0), (2, chroma_tq, 1), (3, chroma_tq, 1)][:channels]
 
 
 def encode_image(img, luma_table, chroma_table=None, *, drop_zigzag=()):
@@ -44,64 +50,41 @@ def encode_image(img, luma_table, chroma_table=None, *, drop_zigzag=()):
         raise UnsupportedSizeError(
             f"{img.width}x{img.height} exceeds the {MAX_DIMENSION} JFIF limit"
         )
-    drop = frozenset(int(p) for p in drop_zigzag)
-    if drop and (min(drop) < 0 or max(drop) > 63):
-        raise InvalidInputError("drop positions must be zig-zag indices 0..63")
+    drop = drop_positions(drop_zigzag)
 
-    single_table = chroma_table is None
-    if img.channels == 1:
-        planes = [img.planes[0]]
-        tq_ids = [0]
-        qtables = [(0, luma_table)]
-        dc_tables = [huffman.DC_LUMA]
-        ac_tables = [huffman.AC_LUMA]
-        dht_specs = [(0, 0, huffman.DC_LUMA), (1, 0, huffman.AC_LUMA)]
-        sof_components = [(1, 1, 1, 0)]
-        sos_components = [(1, 0, 0)]
-        plane_tables = [luma_table]
-    else:
-        planes = list(color_convert_forward(img))
-        if single_table:
-            tq_ids = [0, 0, 0]
-            qtables = [(0, luma_table)]
-            plane_tables = [luma_table] * 3
-        else:
-            tq_ids = [0, 1, 1]
-            qtables = [(0, luma_table), (1, chroma_table)]
-            plane_tables = [luma_table, chroma_table, chroma_table]
-        dc_tables = [huffman.DC_LUMA, huffman.DC_CHROMA, huffman.DC_CHROMA]
-        ac_tables = [huffman.AC_LUMA, huffman.AC_CHROMA, huffman.AC_CHROMA]
-        dht_specs = [
-            (0, 0, huffman.DC_LUMA), (1, 0, huffman.AC_LUMA),
-            (0, 1, huffman.DC_CHROMA), (1, 1, huffman.AC_CHROMA),
-        ]
-        sof_components = [(1, 1, 1, tq_ids[0]), (2, 1, 1, tq_ids[1]), (3, 1, 1, tq_ids[2])]
-        sos_components = [(1, 0, 0), (2, 1, 1), (3, 1, 1)]
-
+    layout = _component_layout(img.channels, chroma_table is None)
+    qtables = (luma_table, chroma_table)
+    planes = img.planes if img.channels == 1 else color_convert_forward(img)
     component_blocks = [
-        _plane_to_scan_blocks(p, t, drop) for p, t in zip(planes, plane_tables)
+        _plane_to_scan_blocks(plane, qtables[tq], drop)
+        for plane, (_, tq, _) in zip(planes, layout)
     ]
-    scan = huffman.entropy_encode(component_blocks, dc_tables, ac_tables)
+    scan = huffman.entropy_encode(
+        component_blocks,
+        [_DC_TABLES[th] for _, _, th in layout],
+        [_AC_TABLES[th] for _, _, th in layout],
+    )
 
-    parts = [bytes([0xFF, jfif.SOI])]
-    parts.append(jfif.app0_segment())
-    for table_id, table in qtables:
-        parts.append(jfif.dqt_segment(table_id, table))
-    parts.append(jfif.sof0_segment(img.width, img.height, sof_components))
-    for table_class, table_id, table in dht_specs:
-        parts.append(jfif.dht_segment(table_class, table_id, table))
-    parts.append(jfif.sos_segment(sos_components))
+    parts = [bytes([0xFF, jfif.SOI]), jfif.app0_segment()]
+    for tq in sorted({tq for _, tq, _ in layout}):
+        parts.append(jfif.dqt_segment(tq, qtables[tq]))
+    parts.append(jfif.sof0_segment(
+        img.width, img.height, [(cid, 1, 1, tq) for cid, tq, _ in layout]
+    ))
+    for th in sorted({th for _, _, th in layout}):
+        parts.append(jfif.dht_segment(0, th, _DC_TABLES[th]))
+        parts.append(jfif.dht_segment(1, th, _AC_TABLES[th]))
+    parts.append(jfif.sos_segment([(cid, th, th) for cid, _, th in layout]))
     parts.append(scan)
     parts.append(bytes([0xFF, jfif.EOI]))
     return b"".join(parts)
 
 
-def decode_coefficients(data):
-    """Parse a file and return its quantized coefficient blocks.
+def _decode(data):
+    """Parse, check the baseline subset and entropy-decode a file.
 
-    Returns (blocks, tables): one (n_blocks, 64) natural-order int array and
-    one QuantTable per component.  Useful for inspecting what an encoder
-    actually stored (e.g. which bands were zeroed).
+    Returns (parsed, blocks, tables) with one natural-order (n_blocks, 64)
+    int array and one QuantTable per component.
     """
     parsed = jfif.parse_jpeg(bytes(data))
     _check_baseline_subset(parsed)
@@ -115,6 +98,17 @@ def decode_coefficients(data):
     )
     blocks = [inverse_zigzag(scan) for scan in scans]
     tables = [QuantTable(parsed.qtables[c.tq]) for c in parsed.components]
+    return parsed, blocks, tables
+
+
+def decode_coefficients(data):
+    """Parse a file and return its quantized coefficient blocks.
+
+    Returns (blocks, tables): one (n_blocks, 64) natural-order int array and
+    one QuantTable per component.  Useful for inspecting what an encoder
+    actually stored (e.g. which bands were zeroed).
+    """
+    _, blocks, tables = _decode(data)
     return blocks, tables
 
 
@@ -139,29 +133,15 @@ def _check_baseline_subset(parsed):
 
 def decode_image(data):
     """Decode a baseline sequential JFIF byte stream to a RasterImage."""
-    parsed = jfif.parse_jpeg(bytes(data))
-    _check_baseline_subset(parsed)
-    n_comp = len(parsed.components)
-    rows, cols = block_grid(parsed.width, parsed.height)
-    n_mcus = rows * cols
-    dc_tables = [
-        huffman.HuffmanTable(*parsed.htables[(0, c.dc_id)]) for c in parsed.components
+    parsed, blocks, tables = _decode(data)
+    planes = [
+        assemble_plane(
+            inverse_dct(dequantize(natural.reshape(-1, 8, 8), table)),
+            parsed.width,
+            parsed.height,
+        )
+        for natural, table in zip(blocks, tables)
     ]
-    ac_tables = [
-        huffman.HuffmanTable(*parsed.htables[(1, c.ac_id)]) for c in parsed.components
-    ]
-    scans = huffman.entropy_decode(
-        parsed.scan_data, n_mcus, dc_tables, ac_tables, base_offset=parsed.scan_offset
-    )
-
-    planes = []
-    for comp, scan in zip(parsed.components, scans):
-        table = QuantTable(parsed.qtables[comp.tq])
-        natural = inverse_zigzag(scan)
-        coeffs = dequantize(natural.reshape(-1, 8, 8), table)
-        pixels = inverse_dct(coeffs)
-        planes.append(assemble_plane(pixels, parsed.width, parsed.height))
-
-    if n_comp == 1:
-        return RasterImage(parsed.width, parsed.height, (planes[0],))
+    if len(planes) == 1:
+        return RasterImage(parsed.width, parsed.height, tuple(planes))
     return color_convert_inverse(*planes)

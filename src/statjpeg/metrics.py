@@ -1,6 +1,5 @@
 """Compression rate, reconstruction quality, and coefficient sparsity."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,21 +8,7 @@ from .blocks import partition_blocks
 from .color import color_convert_forward
 from .dct import forward_dct
 from .errors import InvalidInputError
-from .quant import quantize, round_half_away
-
-LOSSLESS = "lossless"
-
-
-@dataclass(frozen=True)
-class CompressionReport:
-    """File-size comparison against the finest-quantization reference."""
-
-    reference_bytes: int
-    candidate_bytes: int
-
-    @property
-    def compression_rate(self):
-        return compression_rate(self.reference_bytes, self.candidate_bytes)
+from .quant import ZIGZAG_INDEX, drop_positions, quantize, round_half_away
 
 
 def compression_rate(reference_bytes, candidate_bytes):
@@ -45,9 +30,6 @@ class QualityReport:
     @property
     def lossless(self):
         return self.mse == 0.0
-
-    def psnr_label(self):
-        return LOSSLESS if self.lossless else f"{self.psnr:.4f}"
 
 
 def _quality_planes(img, channel_mode):
@@ -91,17 +73,17 @@ class SparsityReport:
     zero_fraction: float
     per_band: tuple  # 63 AC bands, natural order indices 1..63
 
-    def band_fraction(self, band):
-        if not 1 <= band <= 63:
-            raise InvalidInputError(f"AC band index must be in [1, 63], got {band}")
-        return self.per_band[band - 1]
 
+def coefficient_sparsity(img, table, *, drop_zigzag=()):
+    """Quantize the luma plane with ``table`` and count zeroed AC bands.
 
-def coefficient_sparsity(img, table):
-    """Quantize the luma plane with ``table`` and count zeroed AC bands."""
+    ``drop_zigzag`` is the encoder's drop set: those zig-zag positions are
+    zeroed before counting, so the figures describe what the file stores.
+    """
     plane = _quality_planes(img, "luma")[0]
     blocks = partition_blocks(plane)
     quantized = quantize(forward_dct(blocks), table).reshape(-1, 64)
+    quantized[:, ZIGZAG_INDEX[drop_positions(drop_zigzag)]] = 0
     zeros = quantized == 0
     return SparsityReport(
         zero_fraction=float(zeros[:, 1:].mean()),
@@ -133,10 +115,3 @@ def histogram(values, bin_width):
     centers, counts = np.unique(idx, return_counts=True)
     return [(float(c * bin_width), int(n)) for c, n in zip(centers, counts)]
 
-
-def save_histogram_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_center", "count"])
-        for center, count in rows:
-            writer.writerow([repr(center), count])

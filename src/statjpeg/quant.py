@@ -81,3 +81,11 @@ def inverse_zigzag(scan):
     if scan.shape[-1] != 64:
         raise InvalidInputError(f"expected 64 entries, got {scan.shape[-1]}")
     return scan[..., ZIGZAG_POSITION]
+
+
+def drop_positions(drop_zigzag):
+    """The sorted zig-zag positions of a drop set, each checked to be 0..63."""
+    drop = sorted({int(p) for p in drop_zigzag})
+    if drop and (drop[0] < 0 or drop[-1] > 63):
+        raise InvalidInputError("drop positions must be zig-zag indices 0..63")
+    return drop

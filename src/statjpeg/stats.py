@@ -1,5 +1,5 @@
 """Dataset frequency statistics: interval sampling of a class-per-directory
-corpus, block-wise DCT, and per-band streaming mean/deviation accumulators.
+corpus, block-wise DCT, and per-band streaming mean/deviation statistics.
 
 The per-band spread (population standard deviation of the un-quantized DCT
 coefficients) is the signal the table designer maps to quantization steps.
@@ -67,58 +67,6 @@ def sample_images(manifest, spec):
     return selected
 
 
-class BandAccumulator:
-    """Streaming mean/variance for one frequency band (Welford form).
-
-    ``m2`` is the running sum of squared deviations; merging two
-    accumulators uses the parallel-combination formula, so accumulation
-    order only perturbs results at floating-point level.
-    """
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self, count=0, mean=0.0, m2=0.0):
-        self.count = count
-        self.mean = mean
-        self.m2 = m2
-
-    def update(self, value):
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
-    def merge_stats(self, count, mean, m2):
-        if count == 0:
-            return
-        total = self.count + count
-        delta = mean - self.mean
-        self.mean += delta * count / total
-        self.m2 += m2 + delta * delta * self.count * count / total
-        self.count = total
-
-    def update_batch(self, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return
-        mean = float(values.mean())
-        m2 = float(((values - mean) ** 2).sum())
-        self.merge_stats(values.size, mean, m2)
-
-    def merge(self, other):
-        self.merge_stats(other.count, other.mean, other.m2)
-
-    @property
-    def stddev(self):
-        """Population standard deviation sqrt(m2 / count)."""
-        if self.count == 0:
-            return 0.0
-        return float(np.sqrt(max(self.m2, 0.0) / self.count))
-
-    def copy(self):
-        return BandAccumulator(self.count, self.mean, self.m2)
-
-
 def rank_bands(deltas):
     """Band indices sorted by descending spread, ties by zig-zag position."""
     deltas = np.asarray(deltas, dtype=np.float64)
@@ -141,8 +89,10 @@ class FrequencyStats:
         self.channel_mode = channel_mode
         self.source_digest = source_digest
         channels = ["y"] if channel_mode == LUMA_ONLY else ["y", "chroma"]
-        self.bands = {
-            name: [BandAccumulator() for _ in range(N_BANDS)] for name in channels
+        # per channel: block count, per-band mean, per-band sum of squared
+        # deviations from the mean
+        self.moments = {
+            name: (0, np.zeros(N_BANDS), np.zeros(N_BANDS)) for name in channels
         }
 
     def _channel_planes(self, img):
@@ -157,42 +107,53 @@ class FrequencyStats:
         y, cb, cr = color_convert_forward(img)
         return {"y": [y], "chroma": [cb, cr]}
 
+    def _merge_moments(self, channel, count, mean, m2):
+        """Fold (count, mean[64], m2[64]) into a channel (Chan et al.'s
+        parallel combination, so merge order only perturbs the last bits)."""
+        if count == 0:
+            return
+        own_count, own_mean, own_m2 = self.moments[channel]
+        total = own_count + count
+        delta = mean - own_mean
+        # the grouping of the m2 sum decides the last bits of every stddev
+        self.moments[channel] = (
+            total,
+            own_mean + delta * count / total,
+            own_m2 + (m2 + delta * delta * own_count * count / total),
+        )
+
     def accumulate_image(self, img):
         """Fold every 8x8 block's un-quantized DCT coefficients in."""
         for channel, planes in self._channel_planes(img).items():
-            accs = self.bands[channel]
             for plane in planes:
                 coeffs = forward_dct(partition_blocks(plane)).reshape(-1, N_BANDS)
-                means = coeffs.mean(axis=0)
-                m2s = ((coeffs - means) ** 2).sum(axis=0)
-                n = coeffs.shape[0]
-                for band in range(N_BANDS):
-                    accs[band].merge_stats(n, float(means[band]), float(m2s[band]))
+                mean = coeffs.mean(axis=0)
+                m2 = ((coeffs - mean) ** 2).sum(axis=0)
+                self._merge_moments(channel, coeffs.shape[0], mean, m2)
         return self
 
     def merge(self, other):
         if other.channel_mode != self.channel_mode:
             raise InvalidInputError("cannot merge stats with different channel modes")
-        for channel, accs in self.bands.items():
-            for mine, theirs in zip(accs, other.bands[channel]):
-                mine.merge(theirs)
+        for channel, moments in other.moments.items():
+            self._merge_moments(channel, *moments)
         return self
 
     @property
     def total_blocks(self):
-        return sum(accs[0].count for accs in self.bands.values())
+        return sum(count for count, _, _ in self.moments.values())
 
     def finalize(self):
         """Freeze into a :class:`FrequencySummary`; needs >= 2 blocks per band."""
         channels = {}
-        for channel, accs in self.bands.items():
-            if accs[0].count < 2:
+        for channel, (count, mean, m2) in self.moments.items():
+            if count < 2:
                 raise InsufficientDataError(
-                    f"channel {channel!r} has only {accs[0].count} blocks; "
-                    "need at least 2"
+                    f"channel {channel!r} has only {count} blocks; need at least 2"
                 )
+            stddev = np.sqrt(np.maximum(m2, 0.0) / count)
             channels[channel] = tuple(
-                BandStats(a.count, a.mean, a.stddev) for a in accs
+                BandStats(count, m, s) for m, s in zip(mean.tolist(), stddev.tolist())
             )
         return FrequencySummary(channels, self.total_blocks, self.source_digest)
 

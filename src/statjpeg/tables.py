@@ -182,11 +182,6 @@ def format_grid(table):
     )
 
 
-def save_table_grid(table, path):
-    with open(path, "w") as fh:
-        fh.write(format_grid(table) + "\n")
-
-
 def save_table(table, path):
     doc = {
         "schema_version": TABLE_SCHEMA_VERSION,

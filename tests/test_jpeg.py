@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from statjpeg.errors import CorruptStreamError, UnsupportedSizeError
+from statjpeg.errors import CorruptStreamError, InvalidInputError, UnsupportedSizeError
 from statjpeg.image import RasterImage
 from statjpeg.jfif import validate_structure
 from statjpeg.jpeg import decode_coefficients, decode_image, encode_image
@@ -102,6 +102,9 @@ def test_drop_zigzag_zeroes_high_positions(rng):
     assert np.any(scan_kept[:, 61:] != 0)  # noise image has HF content
     assert np.all(scan_drop[:, 61:] == 0)
     assert np.array_equal(scan_kept[:, :61], scan_drop[:, :61])
+    for bad in ({-1}, {64}):
+        with pytest.raises(InvalidInputError):
+            encode_image(img, ONES, drop_zigzag=bad)
 
 
 def test_drop_everything_but_dc_gives_flat_tiles(rng):

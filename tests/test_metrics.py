@@ -3,16 +3,16 @@ import pytest
 
 from statjpeg.errors import InvalidInputError
 from statjpeg.image import RasterImage
+from statjpeg.jpeg import decode_coefficients, encode_image
 from statjpeg.metrics import (
-    CompressionReport,
     band_coefficients,
     coefficient_sparsity,
     compression_rate,
     histogram,
     psnr,
-    save_histogram_csv,
 )
-from statjpeg.tables import same_q_table, standard_table
+from statjpeg.synth import synth_image
+from statjpeg.tables import rm_hf_table, same_q_table, standard_table
 
 
 def gray(arr):
@@ -30,10 +30,6 @@ class TestCompressionRate:
         with pytest.raises(InvalidInputError):
             compression_rate(10, 0)
 
-    def test_report_property(self):
-        report = CompressionReport(reference_bytes=800, candidate_bytes=200)
-        assert report.compression_rate == 4.0
-
 
 class TestPsnr:
     def test_identical_images_are_lossless(self, rng):
@@ -41,7 +37,6 @@ class TestPsnr:
         report = psnr(img, img)
         assert report.lossless
         assert report.psnr is None
-        assert report.psnr_label() == "lossless"
 
     def test_unit_offset_closed_form(self):
         a = gray(np.full((32, 32), 100))
@@ -97,9 +92,20 @@ class TestSparsity:
         img = gray(rng.integers(0, 256, size=(24, 24)))
         report = coefficient_sparsity(img, standard_table(50))
         assert len(report.per_band) == 63
-        assert report.band_fraction(1) == report.per_band[0]
-        with pytest.raises(InvalidInputError):
-            report.band_fraction(0)
+        assert report.zero_fraction == pytest.approx(np.mean(report.per_band), abs=1e-12)
+
+    def test_drop_set_counts_what_the_file_stores(self):
+        img = synth_image("blobs", np.random.default_rng(3), 64, 64)
+        luma, drop = rm_hf_table(standard_table(100, "luma"), 20)
+        chroma, _ = rm_hf_table(standard_table(100, "chroma"), 20)
+        data = encode_image(img, luma, chroma, drop_zigzag=drop)
+        stored = decode_coefficients(data)[0][0]
+        report = coefficient_sparsity(img, luma, drop_zigzag=drop)
+        assert report.zero_fraction == float((stored[:, 1:] == 0).mean())
+        assert report.per_band == tuple((stored[:, 1:] == 0).mean(axis=0).tolist())
+        for bad in ({-1}, {64}):
+            with pytest.raises(InvalidInputError):
+                coefficient_sparsity(img, luma, drop_zigzag=bad)
 
 
 class TestHistogram:
@@ -123,15 +129,6 @@ class TestHistogram:
             histogram(np.ones(4), bin_width=0)
         with pytest.raises(InvalidInputError):
             histogram(np.array([]), bin_width=1.0)
-
-    def test_csv_output(self, tmp_path, rng):
-        rows = histogram(rng.normal(0, 20, size=500), bin_width=4.0)
-        path = tmp_path / "hist.csv"
-        save_histogram_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "bin_center,count"
-        assert len(lines) == len(rows) + 1
-        assert sum(int(line.split(",")[1]) for line in lines[1:]) == 500
 
 
 def test_band_coefficients_extraction(rng):

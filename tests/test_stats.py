@@ -15,7 +15,6 @@ from statjpeg.errors import (
 from statjpeg.image import RasterImage
 from statjpeg.quant import ZIGZAG_INDEX
 from statjpeg.stats import (
-    BandAccumulator,
     FrequencyStats,
     SampleSpec,
     load_stats,
@@ -80,42 +79,63 @@ class TestSampling:
             SampleSpec(1, "bogus")
 
 
+def block_coefficients(images):
+    return np.concatenate(
+        [forward_dct(partition_blocks(img.planes[0])).reshape(-1, 64) for img in images]
+    )
+
+
 class TestAccumulator:
+    """The per-channel (count, mean[64], m2[64]) moments of FrequencyStats."""
+
     def test_scalar_updates_match_numpy(self, rng):
-        values = rng.normal(3.0, 7.0, size=500)
-        acc = BandAccumulator()
-        for v in values:
-            acc.update(float(v))
-        assert acc.count == 500
-        assert abs(acc.mean - values.mean()) < 1e-9
-        assert abs(acc.stddev - values.std()) < 1e-9
+        # one-block images: every fold adds a single sample per band
+        images = [gray_image(rng.integers(0, 256, size=(8, 8))) for _ in range(300)]
+        stats = FrequencyStats()
+        for img in images:
+            stats.accumulate_image(img)
+        count, mean, m2 = stats.moments["y"]
+        coeffs = block_coefficients(images)
+        assert count == 300
+        np.testing.assert_allclose(mean, coeffs.mean(axis=0), rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(np.sqrt(m2 / count), coeffs.std(axis=0), rtol=1e-9)
 
     def test_batch_equals_scalar(self, rng):
-        values = rng.normal(-2.0, 4.0, size=300)
-        scalar = BandAccumulator()
-        for v in values:
-            scalar.update(float(v))
-        batched = BandAccumulator()
-        batched.update_batch(values[:100])
-        batched.update_batch(values[100:])
-        assert abs(batched.mean - scalar.mean) < 1e-9
-        assert abs(batched.stddev - scalar.stddev) < 1e-12 + 1e-9 * scalar.stddev
+        arr = rng.integers(0, 256, size=(8, 8 * 100))
+        batched = FrequencyStats().accumulate_image(gray_image(arr))
+        scalar = FrequencyStats()
+        for j in range(100):
+            scalar.accumulate_image(gray_image(arr[:, 8 * j:8 * j + 8]))
+        b_count, b_mean, b_m2 = batched.moments["y"]
+        s_count, s_mean, s_m2 = scalar.moments["y"]
+        assert b_count == s_count == 100
+        np.testing.assert_allclose(b_mean, s_mean, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(b_m2, s_m2, rtol=1e-9)
 
     def test_merge_is_order_insensitive(self, rng):
-        chunks = [rng.normal(0, s, size=50) for s in (1.0, 10.0, 0.1)]
-        left = BandAccumulator()
+        # chunks whose spreads differ by two orders of magnitude
+        def chunk(spread):
+            arr = np.clip(rng.normal(128, spread, size=(16, 16)), 0, 255)
+            return FrequencyStats().accumulate_image(gray_image(arr))
+
+        chunks = [chunk(s) for s in (4.0, 40.0, 0.4)]
+        left, right = FrequencyStats(), FrequencyStats()
         for c in chunks:
-            left.update_batch(c)
-        right = BandAccumulator()
+            left.merge(c)
         for c in reversed(chunks):
-            right.update_batch(c)
-        assert abs(left.stddev - right.stddev) <= 1e-9 * max(left.stddev, 1.0)
-        assert left.count == right.count
+            right.merge(c)
+        assert left.total_blocks == right.total_blocks == 12
+        np.testing.assert_allclose(
+            left.finalize().deltas(), right.finalize().deltas(), rtol=1e-9, atol=1e-12
+        )
 
     def test_empty_accumulator_invariants(self):
-        acc = BandAccumulator()
-        assert (acc.count, acc.mean, acc.m2) == (0, 0.0, 0.0)
-        assert acc.stddev == 0.0
+        stats = FrequencyStats("per-channel")
+        stats.merge(FrequencyStats("per-channel"))
+        for count, mean, m2 in stats.moments.values():
+            assert count == 0
+            assert not mean.any() and not m2.any()
+        assert stats.total_blocks == 0
 
 
 class TestFrequencyStats:
@@ -171,21 +191,22 @@ class TestFrequencyStats:
         stats = FrequencyStats()
         for _ in range(3):
             stats.accumulate_image(gray_image(rng.integers(0, 256, size=(17, 9))))
-        counts = {acc.count for acc in stats.bands["y"]}
+        counts = {band.count for band in stats.finalize().channels["y"]}
         assert len(counts) == 1
         assert stats.total_blocks == counts.pop()
 
     def test_rgb_image_uses_luma_plane(self, rng):
         arr = rng.integers(0, 256, size=(16, 16, 3)).astype(np.uint8)
         stats = FrequencyStats().accumulate_image(RasterImage.from_array(arr))
-        assert stats.bands["y"][0].count == 4
+        assert stats.finalize().channels["y"][0].count == 4
 
     def test_per_channel_mode_pools_chroma(self, rng):
         arr = rng.integers(0, 256, size=(16, 16, 3)).astype(np.uint8)
         stats = FrequencyStats("per-channel")
         stats.accumulate_image(RasterImage.from_array(arr))
-        assert stats.bands["y"][0].count == 4
-        assert stats.bands["chroma"][0].count == 8  # Cb and Cr pooled
+        channels = stats.finalize().channels
+        assert channels["y"][0].count == 4
+        assert channels["chroma"][0].count == 8  # Cb and Cr pooled
 
     def test_per_channel_mode_rejects_grayscale(self):
         stats = FrequencyStats("per-channel")

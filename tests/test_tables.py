@@ -14,7 +14,6 @@ from statjpeg.tables import (
     rm_hf_table,
     same_q_table,
     save_table,
-    save_table_grid,
     segment_bands,
     standard_table,
 )
@@ -204,17 +203,13 @@ class TestPersistence:
         assert loaded == table
         assert loaded.provenance["kind"] == "plm"
 
-    def test_grid_format(self, tmp_path):
+    def test_grid_format(self):
         table = same_q_table(7)
         grid = format_grid(table)
         rows = grid.splitlines()
         assert len(rows) == 8
         assert all(len(row.split()) == 8 for row in rows)
         assert all(v == "7" for row in rows for v in row.split())
-        path = tmp_path / "table.txt"
-        save_table_grid(table, path)
-        reparsed = [int(v) for v in path.read_text().split()]
-        assert reparsed == [7] * 64
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "table.json"
