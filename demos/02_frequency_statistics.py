@@ -14,39 +14,40 @@ from statjpeg.metrics import band_coefficients, histogram
 from statjpeg.stats import save_delta_csv, save_stats
 from statjpeg.synth import generate_corpus
 
-workdir = Path(tempfile.mkdtemp(prefix="statjpeg_demo_"))
-corpus = generate_corpus(workdir / "corpus", images_per_class=8, size=(96, 96))
-manifest = scan_corpus(corpus)
-print(f"corpus: {manifest.image_count} images, {len(manifest.classes)} classes")
-print(f"manifest digest: {manifest.digest[:16]}...")
+with tempfile.TemporaryDirectory(prefix="statjpeg_demo_") as tmp:
+    workdir = Path(tmp)
+    corpus = generate_corpus(workdir / "corpus", images_per_class=8, size=(96, 96))
+    manifest = scan_corpus(corpus)
+    print(f"corpus: {manifest.image_count} images, {len(manifest.classes)} classes")
+    print(f"manifest digest: {manifest.digest[:16]}...")
 
-# --- interval sampling: every 2nd image of each class ----------------------
-selected = sample_images(manifest, SampleSpec(interval_k=2))
-print(f"sampling k=2 keeps {len(selected)} images")
+    # --- interval sampling: every 2nd image of each class ------------------
+    selected = sample_images(manifest, SampleSpec(interval_k=2))
+    print(f"sampling k=2 keeps {len(selected)} images")
 
-stats = FrequencyStats(source_digest=manifest.digest)
-for path in selected:
-    stats.accumulate_image(load_image(path))
-summary = stats.finalize()
-print(f"accumulated {summary.total_blocks} blocks")
+    stats = FrequencyStats(source_digest=manifest.digest)
+    for path in selected:
+        stats.accumulate_image(load_image(path))
+    summary = stats.finalize()
+    print(f"accumulated {summary.total_blocks} blocks")
 
-# --- the spread landscape ---------------------------------------------------
-deltas = summary.deltas()
-print("\nper-band standard deviation (natural order):")
-for row in deltas.reshape(8, 8):
-    print("  " + " ".join(f"{v:7.2f}" for v in row))
+    # --- the spread landscape -----------------------------------------------
+    deltas = summary.deltas()
+    print("\nper-band standard deviation (natural order):")
+    for row in deltas.reshape(8, 8):
+        print("  " + " ".join(f"{v:7.2f}" for v in row))
 
-ranked = summary.ranked_bands()
-print("\ntop 6 bands by spread (the low-frequency set):", ranked[:6].tolist())
-print("AC band means stay near zero (symmetric distributions):")
-ac_means = np.array([b.mean for b in summary.channels["y"]][1:])
-ac_stds = deltas[1:]
-print(f"  max |mean| / spread over AC bands: {np.max(np.abs(ac_means) / ac_stds):.4f}")
+    ranked = summary.ranked_bands()
+    print("\ntop 6 bands by spread (the low-frequency set):", ranked[:6].tolist())
+    print("AC band means stay near zero (symmetric distributions):")
+    ac_means = np.array([b.mean for b in summary.channels["y"]][1:])
+    ac_stds = deltas[1:]
+    print(f"  max |mean| / spread over AC bands: {np.max(np.abs(ac_means) / ac_stds):.4f}")
 
-# --- persistence + a histogram of one band ---------------------------------
-save_stats(summary, workdir / "stats.json")
-save_delta_csv(summary, workdir / "deltas.csv")
-rows = histogram(band_coefficients(load_image(selected[0]), band=1), bin_width=4.0)
-peak = max(rows, key=lambda r: r[1])
-print(f"\nband 1 histogram of first image: {len(rows)} bins, peak at {peak[0]:+.0f}")
-print(f"artifacts written under {workdir}")
+    # --- persistence + a histogram of one band -----------------------------
+    save_stats(summary, workdir / "stats.json")
+    save_delta_csv(summary, workdir / "deltas.csv")
+    rows = histogram(band_coefficients(load_image(selected[0]), band=1), bin_width=4.0)
+    peak = max(rows, key=lambda r: r[1])
+    print(f"\nband 1 histogram of first image: {len(rows)} bins, peak at {peak[0]:+.0f}")
+    print(f"wrote {sorted(p.name for p in workdir.iterdir())} to {workdir} (removed on exit)")

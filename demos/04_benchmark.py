@@ -11,28 +11,29 @@ from statjpeg import FrequencyStats, load_image, save_stats, scan_corpus
 from statjpeg.cli import resolve_table_source, run_benchmark
 from statjpeg.synth import generate_corpus
 
-workdir = Path(tempfile.mkdtemp(prefix="statjpeg_bench_"))
-manifest = scan_corpus(generate_corpus(workdir / "corpus", images_per_class=8))
-paths = manifest.image_paths()
-print(f"benchmarking over {len(paths)} images")
+with tempfile.TemporaryDirectory(prefix="statjpeg_bench_") as tmp:
+    workdir = Path(tmp)
+    manifest = scan_corpus(generate_corpus(workdir / "corpus", images_per_class=8))
+    paths = manifest.image_paths()
+    print(f"benchmarking over {len(paths)} images")
 
-# --- stage 1: corpus statistics -> designed table ----------------------------
-stats = FrequencyStats(source_digest=manifest.digest)
-for path in paths:
-    stats.accumulate_image(load_image(path))
-save_stats(stats.finalize(), workdir / "stats.json")
+    # --- stage 1: corpus statistics -> designed table ------------------------
+    stats = FrequencyStats(source_digest=manifest.digest)
+    for path in paths:
+        stats.accumulate_image(load_image(path))
+    save_stats(stats.finalize(), workdir / "stats.json")
 
-# --- stage 2: the contenders, as the CLI's --table specs ---------------------
-specs = {
-    "designed (plm)": f"plm:{workdir / 'stats.json'}",
-    "same-q:4": "same-q:4",
-    "rm-hf:3 @ qf100": "rm-hf:3",
-    "standard qf100": "standard-qf:100",
-}
-sources = [resolve_table_source(spec) for spec in specs.values()]
+    # --- stage 2: the contenders, as the CLI's --table specs -----------------
+    specs = {
+        "designed (plm)": f"plm:{workdir / 'stats.json'}",
+        "same-q:4": "same-q:4",
+        "rm-hf:3 @ qf100": "rm-hf:3",
+        "standard qf100": "standard-qf:100",
+    }
+    sources = [resolve_table_source(spec) for spec in specs.values()]
 
-# --- stage 3: measure (the same loop as `statjpeg benchmark`) ---------------
-_, aggregates = run_benchmark(manifest, sources)
+    # --- stage 3: measure (the same loop as `statjpeg benchmark`) -----------
+    _, aggregates = run_benchmark(manifest, sources)
 
 print(f"\n{'source':>16} {'bytes':>9} {'CR':>6} {'PSNR dB':>8} {'zero frac':>9}")
 cr = {}

@@ -29,13 +29,14 @@ def partition_blocks(plane, width=None, height=None):
     rows, cols = block_grid(width, height)
     pad_h = rows * BLOCK_SIZE - height
     pad_w = cols * BLOCK_SIZE - width
-    padded = np.pad(plane.astype(np.float64), ((0, pad_h), (0, pad_w)), mode="edge")
-    blocks = (
-        padded.reshape(rows, BLOCK_SIZE, cols, BLOCK_SIZE)
-        .transpose(0, 2, 1, 3)
-        .reshape(rows * cols, BLOCK_SIZE, BLOCK_SIZE)
+    if pad_h or pad_w:
+        plane = np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
+    # transpose the narrow samples; the level shift then writes float64 once
+    tiles = np.ascontiguousarray(
+        plane.reshape(rows, BLOCK_SIZE, cols, BLOCK_SIZE).transpose(0, 2, 1, 3)
     )
-    return blocks - 128.0
+    blocks = np.subtract(tiles, 128.0, dtype=np.float64)
+    return blocks.reshape(rows * cols, BLOCK_SIZE, BLOCK_SIZE)
 
 
 def assemble_plane(pixel_blocks, width, height):
@@ -46,14 +47,19 @@ def assemble_plane(pixel_blocks, width, height):
     the replication padding back to width x height.
     """
     rows, cols = block_grid(width, height)
-    blocks = np.asarray(pixel_blocks, dtype=np.float64)
+    blocks = np.asarray(pixel_blocks)
     if blocks.shape != (rows * cols, BLOCK_SIZE, BLOCK_SIZE):
         raise InvalidInputError(
             f"expected {rows * cols} blocks for a {width}x{height} plane, "
             f"got shape {blocks.shape}"
         )
-    rounded = np.sign(blocks) * np.floor(np.abs(blocks) + 0.5)
-    shifted = np.clip(rounded, -128, 127) + 128
+    # round half away from zero is trunc(x + copysign(0.5, x)); clamping to
+    # integer bounds commutes with trunc, and the int16 cast truncates
+    rounded = np.copysign(0.5, blocks, dtype=np.float64)
+    np.add(blocks, rounded, out=rounded, dtype=np.float64)
+    np.clip(rounded, -128, 127, out=rounded)
+    shifted = rounded.astype(np.int16)
+    shifted += 128
     padded = (
         shifted.reshape(rows, cols, BLOCK_SIZE, BLOCK_SIZE)
         .transpose(0, 2, 1, 3)

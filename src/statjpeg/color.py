@@ -1,4 +1,10 @@
-"""RGB <-> YCbCr conversion, BT.601 full range."""
+"""RGB <-> YCbCr conversion, BT.601 full range.
+
+Every arithmetic step is one ufunc pass into float64 buffers allocated once
+per call.  Inputs enter as float64 (a copy, or a ufunc's
+``dtype=np.float64``), so uint8, integer and float32 planes compute exactly
+as after an explicit float64 conversion.
+"""
 
 import numpy as np
 
@@ -7,30 +13,80 @@ from .image import RasterImage
 
 
 def _round_clamp(plane):
-    rounded = np.sign(plane) * np.floor(np.abs(plane) + 0.5)
-    return np.clip(rounded, 0, 255).astype(np.uint8)
+    """Round half away from zero, clamp to [0, 255] and cast to uint8.
+
+    Overwrites the float64 ``plane``.  For every input the rounding and the
+    clamp together equal clip(floor(x + 0.5), 0, 255): the two roundings
+    differ only below zero, where both clamp to 0.
+    """
+    np.add(plane, 0.5, out=plane)
+    np.floor(plane, out=plane)
+    np.clip(plane, 0, 255, out=plane)
+    return plane.astype(np.uint8)
+
+
+def _buffers(n, *arrays):
+    """``n`` uninitialized float64 arrays of the inputs' broadcast shape.
+
+    They are views of one allocation: numpy asks the kernel for huge pages
+    for blocks of 4 MB and more, so a 512x512 call's first writes fault a
+    few times instead of once per 4 KB page.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
+    block = np.empty((n, *shape))
+    return [block[i, ...] for i in range(n)]
 
 
 def rgb_to_ycbcr(r, g, b):
     """Convert float R, G, B arrays to float Y, Cb, Cr (not yet rounded)."""
-    r = np.asarray(r, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
-    cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
-    return y, cb, cr
+    # y  = 0.299 * r + 0.587 * g + 0.114 * b
+    # cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
+    # cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
+    # Each input is converted to float64 once and folded into all three
+    # sums, which keeps every sum's left-to-right order.
+    y, cb, cr, x, term = _buffers(5, r, g, b)
+    np.copyto(x, r)
+    np.multiply(0.299, x, out=y)
+    np.multiply(0.168736, x, out=cb)
+    np.subtract(128.0, cb, out=cb)
+    np.multiply(0.5, x, out=cr)
+    np.add(128.0, cr, out=cr)
+    np.copyto(x, g)
+    np.multiply(0.587, x, out=term)
+    np.add(y, term, out=y)
+    np.multiply(0.331264, x, out=term)
+    np.subtract(cb, term, out=cb)
+    np.multiply(0.418688, x, out=term)
+    np.subtract(cr, term, out=cr)
+    np.copyto(x, b)
+    np.multiply(0.114, x, out=term)
+    np.add(y, term, out=y)
+    np.multiply(0.5, x, out=term)
+    np.add(cb, term, out=cb)
+    np.multiply(0.081312, x, out=term)
+    np.subtract(cr, term, out=cr)
+    # [()] gives 0-d inputs scalar results, as plain numpy arithmetic does
+    return y[()], cb[()], cr[()]
 
 
 def ycbcr_to_rgb(y, cb, cr):
     """Convert float Y, Cb, Cr arrays to float R, G, B (not yet rounded)."""
-    y = np.asarray(y, dtype=np.float64)
-    cb = np.asarray(cb, dtype=np.float64) - 128.0
-    cr = np.asarray(cr, dtype=np.float64) - 128.0
-    r = y + 1.402 * cr
-    g = y - 0.344136 * cb - 0.714136 * cr
-    b = y + 1.772 * cb
-    return r, g, b
+    r, g, b, cr_s = _buffers(4, y, cb, cr)
+    cb_s = b  # cb - 128.0 lives in b until b itself is computed
+    np.subtract(cb, 128.0, out=cb_s, dtype=np.float64)
+    np.subtract(cr, 128.0, out=cr_s, dtype=np.float64)
+    # r = y + 1.402 * cr
+    np.multiply(1.402, cr_s, out=r)
+    np.add(y, r, out=r, dtype=np.float64)
+    # g = y - 0.344136 * cb - 0.714136 * cr
+    np.multiply(0.344136, cb_s, out=g)
+    np.subtract(y, g, out=g, dtype=np.float64)
+    np.multiply(0.714136, cr_s, out=cr_s)
+    np.subtract(g, cr_s, out=g)
+    # b = y + 1.772 * cb
+    np.multiply(1.772, cb_s, out=b)
+    np.add(y, b, out=b, dtype=np.float64)
+    return r[()], g[()], b[()]
 
 
 def color_convert_forward(img):

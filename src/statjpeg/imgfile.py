@@ -53,13 +53,19 @@ def _pnm_tokens(data):
         yield data[start:pos], pos
 
 
+def _pnm_number(token):
+    if not token.isdigit():
+        raise UnsupportedFormatError(f"PNM header field {token!r} is not a decimal number")
+    return int(token)
+
+
 def _load_pnm(data):
     tokens = _pnm_tokens(data)
     magic, _ = next(tokens)
-    width = int(next(tokens)[0])
-    height = int(next(tokens)[0])
+    width = _pnm_number(next(tokens)[0])
+    height = _pnm_number(next(tokens)[0])
     maxval_token, end = next(tokens)
-    maxval = int(maxval_token)
+    maxval = _pnm_number(maxval_token)
     if maxval != 255:
         raise UnsupportedFormatError(f"PNM maxval {maxval} (only 8-bit supported)")
     channels = 1 if magic == b"P5" else 3
@@ -132,6 +138,8 @@ def _load_png(data):
             break
     if ihdr is None or not idat:
         raise UnsupportedFormatError("PNG missing IHDR or IDAT chunks")
+    if len(ihdr) < 13:
+        raise UnsupportedFormatError(f"PNG IHDR has {len(ihdr)} bytes, expected 13")
     width = int.from_bytes(ihdr[0:4], "big")
     height = int.from_bytes(ihdr[4:8], "big")
     bit_depth, color_type, _, _, interlace = ihdr[8:13]
@@ -144,7 +152,10 @@ def _load_png(data):
     if interlace != 0:
         raise UnsupportedFormatError("interlaced PNG is not supported")
     channels = 1 if color_type == 0 else 3
-    raw = zlib.decompress(b"".join(idat))
+    try:
+        raw = zlib.decompress(b"".join(idat))
+    except zlib.error as exc:
+        raise UnsupportedFormatError(f"corrupt PNG image data: {exc}") from exc
     stride = width * channels
     if len(raw) != height * (stride + 1):
         raise UnsupportedFormatError(

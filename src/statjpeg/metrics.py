@@ -54,7 +54,7 @@ def psnr(original, decoded, channel_mode="luma"):
             f" vs {decoded.width}x{decoded.height}x{decoded.channels}"
         )
     diffs = [
-        a.astype(np.float64) - b.astype(np.float64)
+        np.subtract(a, b, dtype=np.float64)
         for a, b in zip(
             _quality_planes(original, channel_mode),
             _quality_planes(decoded, channel_mode),

@@ -52,19 +52,29 @@ class QuantTable:
 
 def round_half_away(x):
     """Round to nearest integer, halves away from zero."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    x = np.asarray(x)
+    # trunc(x + copysign(0.5, x)) adds 0.5 to |x| exactly as
+    # sign(x) * floor(|x| + 0.5) does, so the two agree on every input but
+    # -0.0, which the sign form maps to +0.0.  Adding 0.0 first does the same
+    # and leaves every other value as it is.
+    rounded = np.add(x, 0.0, out=np.empty(x.shape), dtype=np.float64)
+    rounded += np.copysign(0.5, rounded)
+    np.trunc(rounded, out=rounded)
+    return rounded[()]
 
 
 def quantize(coeffs, table):
     """c' = round(c / q), halves away from zero.  Accepts (..., 8, 8) batches."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    return round_half_away(coeffs / table.grid()).astype(np.int32)
+    scaled = np.divide(coeffs, table.grid(), dtype=np.float64)
+    # round half away from zero is trunc(x + copysign(0.5, x)), and the int32
+    # cast is the truncation
+    scaled += np.copysign(0.5, scaled)
+    return scaled.astype(np.int32)
 
 
 def dequantize(qblock, table):
     """Approximate coefficients as c' * q."""
-    return np.asarray(qblock, dtype=np.float64) * table.grid()
+    return np.multiply(qblock, table.grid(), dtype=np.float64)
 
 
 def zigzag(natural):

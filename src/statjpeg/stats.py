@@ -128,7 +128,8 @@ class FrequencyStats:
             for plane in planes:
                 coeffs = forward_dct(partition_blocks(plane)).reshape(-1, N_BANDS)
                 mean = coeffs.mean(axis=0)
-                m2 = ((coeffs - mean) ** 2).sum(axis=0)
+                coeffs -= mean
+                m2 = np.square(coeffs, out=coeffs).sum(axis=0)
                 self._merge_moments(channel, coeffs.shape[0], mean, m2)
         return self
 

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -44,3 +47,18 @@ def random_quantized_blocks(rng, n, density, max_mag=1023):
     values = rng.integers(-max_mag, max_mag + 1, size=(n, 64))
     blocks[mask] = values[mask]
     return blocks
+
+
+def png_bytes(chunks):
+    """A PNG file from (chunk type, payload) pairs, CRCs filled in."""
+    out = bytearray(b"\x89PNG\r\n\x1a\n")
+    for ctype, payload in chunks:
+        out += struct.pack(">I", len(payload)) + ctype + payload
+        out += struct.pack(">I", zlib.crc32(ctype + payload))
+    return bytes(out)
+
+
+def corrupt_png():
+    """A 1x1 grayscale PNG whose IDAT is not a zlib stream."""
+    ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)
+    return png_bytes([(b"IHDR", ihdr), (b"IDAT", b"not zlib data"), (b"IEND", b"")])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import corrupt_png
 from statjpeg.cli import main, resolve_table_source, split_source_list
 from statjpeg.imgfile import load_image, save_ppm
 from statjpeg.jpeg import decode_coefficients
@@ -42,6 +43,13 @@ class TestAnalyze:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "band,stddev"
         assert len(lines) == 65
+
+    def test_corrupt_png_in_corpus_exits_two(self, tmp_path, capsys):
+        (tmp_path / "corpus" / "cls").mkdir(parents=True)
+        (tmp_path / "corpus" / "cls" / "bad.png").write_bytes(corrupt_png())
+        code = main(["analyze", str(tmp_path / "corpus"), "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "error: corrupt PNG" in capsys.readouterr().err
 
     def test_bad_directory_exits_two(self, tmp_path, capsys):
         code = main(["analyze", str(tmp_path / "missing"), "--out", "x.json"])

@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import corrupt_png, png_bytes
 from statjpeg.corpus import scan_corpus
 from statjpeg.errors import InvalidInputError, UnsupportedFormatError
 from statjpeg.image import RasterImage
@@ -93,6 +94,17 @@ class TestPnm:
         with pytest.raises(UnsupportedFormatError):
             load_image(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5\nab 1\n255\n", b"P5\n-1 -1\n255\n", b"P5\n1 1\n2x5\n"],
+        ids=["letters", "negative", "maxval"],
+    )
+    def test_non_numeric_header_field_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + b"\x00")
+        with pytest.raises(UnsupportedFormatError, match="PNM header field"):
+            load_image(path)
+
 
 def write_png(path, array, bit_depth=8):
     """Minimal PNG writer (filter 0 rows) used as a loader fixture."""
@@ -105,12 +117,9 @@ def write_png(path, array, bit_depth=8):
     else:
         wide = (array.astype(np.uint16) * 257).byteswap()
         body = b"".join(b"\x00" + wide[row].tobytes() for row in range(h))
-    chunks = [(b"IHDR", ihdr), (b"IDAT", zlib.compress(body)), (b"IEND", b"")]
-    out = bytearray(b"\x89PNG\r\n\x1a\n")
-    for ctype, payload in chunks:
-        out += struct.pack(">I", len(payload)) + ctype + payload
-        out += struct.pack(">I", zlib.crc32(ctype + payload))
-    path.write_bytes(bytes(out))
+    path.write_bytes(
+        png_bytes([(b"IHDR", ihdr), (b"IDAT", zlib.compress(body)), (b"IEND", b"")])
+    )
 
 
 class TestPng:
@@ -130,6 +139,21 @@ class TestPng:
         path = tmp_path / "deep.png"
         write_png(path, np.zeros((2, 2), dtype=np.uint8), bit_depth=16)
         with pytest.raises(UnsupportedFormatError, match="PNG"):
+            load_image(path)
+
+    def test_short_ihdr_rejected(self, tmp_path):
+        path = tmp_path / "short.png"
+        ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)[:12]
+        path.write_bytes(png_bytes(
+            [(b"IHDR", ihdr), (b"IDAT", zlib.compress(b"\x00\x00")), (b"IEND", b"")]
+        ))
+        with pytest.raises(UnsupportedFormatError, match="IHDR"):
+            load_image(path)
+
+    def test_corrupt_image_data_rejected(self, tmp_path):
+        path = tmp_path / "corrupt.png"
+        path.write_bytes(corrupt_png())
+        with pytest.raises(UnsupportedFormatError, match="corrupt PNG"):
             load_image(path)
 
     def test_pillow_png_with_filters(self, tmp_path, rng):
