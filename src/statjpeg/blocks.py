@@ -11,7 +11,7 @@ def block_grid(width, height):
     return -(-height // BLOCK_SIZE), -(-width // BLOCK_SIZE)
 
 
-def partition_blocks(plane, width=None, height=None):
+def partition_blocks(plane):
     """Split a plane into level-shifted 8x8 blocks in raster order.
 
     Right and bottom edges are padded by replicating the last column/row.
@@ -20,12 +20,7 @@ def partition_blocks(plane, width=None, height=None):
     plane = np.asarray(plane)
     if plane.size == 0:
         raise InvalidInputError("cannot partition an empty plane")
-    if width is None:
-        height, width = plane.shape
-    elif plane.shape != (height, width):
-        raise InvalidInputError(
-            f"plane shape {plane.shape} does not match {height}x{width}"
-        )
+    height, width = plane.shape
     rows, cols = block_grid(width, height)
     pad_h = rows * BLOCK_SIZE - height
     pad_w = cols * BLOCK_SIZE - width

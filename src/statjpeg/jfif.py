@@ -1,7 +1,8 @@
 """JFIF 1.01 marker segments: writer, parser, and structure validator.
 
 Only the baseline sequential subset is handled: 8-bit precision, SOF0,
-1x1 sampling, 8-bit DQT entries, Huffman coding, no restart intervals.
+1 or 3 components, 1x1 sampling, 8-bit DQT entries, Huffman coding, no
+restart intervals.  :func:`parse_jpeg` is the one place that decides it.
 """
 
 import struct
@@ -28,6 +29,11 @@ _SOF_NAMES = {
     0xC5: "SOF5", 0xC6: "SOF6", 0xC7: "SOF7",
     0xC9: "SOF9", 0xCA: "SOF10", 0xCB: "SOF11",
     0xCD: "SOF13", 0xCE: "SOF14", 0xCF: "SOF15",
+}
+_MARKER_NAMES = {
+    None: "scan", SOI: "SOI", EOI: "EOI", SOS: "SOS", DQT: "DQT", DHT: "DHT",
+    COM: "COM", DRI: "DRI", DNL: "DNL", **_SOF_NAMES,
+    **{APP0 + n: f"APP{n}" for n in range(16)},
 }
 
 
@@ -90,94 +96,106 @@ class ParsedJpeg:
     scan_data: bytes = b""
 
 
-class _Walker:
-    def __init__(self, data):
+class _Payload:
+    """Reader over one segment's bytes that never reads past its end.
+
+    ``pos`` and every error offset are positions in the whole file.
+    """
+
+    def __init__(self, data, pos, end):
         self.data = data
-        self.pos = 0
+        self.pos = pos
+        self.end = end
 
-    def need(self, n, what):
-        if self.pos + n > len(self.data):
+    def take(self, n, what):
+        if self.pos + n > self.end:
             raise CorruptStreamError(f"truncated {what}", offset=self.pos)
-
-    def u8(self, what="byte"):
-        self.need(1, what)
-        v = self.data[self.pos]
-        self.pos += 1
-        return v
-
-    def u16(self, what="field"):
-        self.need(2, what)
-        v = struct.unpack_from(">H", self.data, self.pos)[0]
-        self.pos += 2
-        return v
-
-    def take(self, n, what="payload"):
-        self.need(n, what)
-        v = self.data[self.pos:self.pos + n]
         self.pos += n
-        return v
+        return self.data[self.pos - n:self.pos]
+
+    def u8(self, what):
+        return self.take(1, what)[0]
+
+    def u16(self, what):
+        return int.from_bytes(self.take(2, what), "big")
 
 
-def _parse_dqt(payload, offset, tables):
-    w = _Walker(payload)
-    while w.pos < len(payload):
-        pq_tq = w.u8("DQT header")
+def _parse_dqt(payload, tables):
+    while payload.pos < payload.end:
+        pq_tq = payload.u8("DQT header")
         pq, tq = pq_tq >> 4, pq_tq & 0x0F
         if pq != 0:
             raise UnsupportedFeatureError("DQT with 16-bit precision (Pq=1)")
-        zz = np.frombuffer(w.take(64, "DQT entries"), dtype=np.uint8).astype(np.int64)
-        tables[tq] = inverse_zigzag(zz)
+        zz = np.frombuffer(payload.take(64, "DQT entries"), dtype=np.uint8)
+        tables[tq] = inverse_zigzag(zz.astype(np.int64))
 
 
-def _parse_dht(payload, offset, tables):
-    w = _Walker(payload)
-    while w.pos < len(payload):
-        tc_th = w.u8("DHT header")
+def _parse_dht(payload, tables):
+    while payload.pos < payload.end:
+        tc_th = payload.u8("DHT header")
         tc, th = tc_th >> 4, tc_th & 0x0F
-        bits = tuple(w.take(16, "DHT code counts"))
-        values = tuple(w.take(sum(bits), "DHT symbols"))
+        bits = tuple(payload.take(16, "DHT code counts"))
+        values = tuple(payload.take(sum(bits), "DHT symbols"))
         tables[(tc, th)] = (bits, values)
 
 
-def _parse_sof0(payload, offset, parsed):
-    w = _Walker(payload)
-    precision = w.u8()
+def _parse_sof0(payload, parsed):
+    precision = payload.u8("SOF0 precision")
     if precision != 8:
         raise UnsupportedFeatureError(f"SOF0 with {precision}-bit precision")
-    parsed.height = w.u16()
-    parsed.width = w.u16()
-    n = w.u8()
+    parsed.height = payload.u16("SOF0 height")
     if parsed.height == 0:
         raise UnsupportedFeatureError("SOF0 with deferred height (DNL)")
+    parsed.width = payload.u16("SOF0 width")
+    if parsed.width == 0:
+        raise CorruptStreamError("SOF0 width is 0", offset=payload.pos - 2)
+    n = payload.u8("SOF0 component count")
+    if n not in (1, 3):
+        raise UnsupportedFeatureError(f"{n}-component frames are not supported")
     for _ in range(n):
-        ident = w.u8()
-        hv = w.u8()
-        tq = w.u8()
+        ident = payload.u8("SOF0 component id")
+        hv = payload.u8("SOF0 sampling factors")
+        tq = payload.u8("SOF0 table id")
+        if hv != 0x11:
+            raise UnsupportedFeatureError(
+                f"SOF0 declares a subsampled component "
+                f"(sampling {hv >> 4}x{hv & 0x0F}); only 1x1 is supported"
+            )
         parsed.components.append(FrameComponent(ident, hv >> 4, hv & 0x0F, tq))
 
 
 def _parse_sos_header(payload, offset, parsed):
-    w = _Walker(payload)
-    n = w.u8()
+    """Read the scan header and check every table the scan needs is defined."""
+    n = payload.u8("SOS component count")
     if n != len(parsed.components):
         raise UnsupportedFeatureError(
             "SOS component count differs from SOF0 (multi-scan file)"
         )
     by_ident = {c.ident: c for c in parsed.components}
     for _ in range(n):
-        ident = w.u8()
-        tbl = w.u8()
-        if ident not in by_ident:
+        ident = payload.u8("SOS component id")
+        tbl = payload.u8("SOS table ids")
+        comp = by_ident.get(ident)
+        if comp is None:
             raise CorruptStreamError(
                 f"SOS references unknown component {ident}", offset=offset
             )
-        by_ident[ident].dc_id = tbl >> 4
-        by_ident[ident].ac_id = tbl & 0x0F
-    ss, se, a = w.u8(), w.u8(), w.u8()
+        if comp.dc_id is not None:
+            raise CorruptStreamError(f"SOS lists component {ident} twice", offset=offset)
+        comp.dc_id, comp.ac_id = tbl >> 4, tbl & 0x0F
+    ss, se, a = (payload.u8("SOS spectral selection") for _ in range(3))
     if (ss, se, a) != (0, 63, 0):
         raise UnsupportedFeatureError(
             f"SOS spectral selection {ss}..{se}/{a} (not baseline)"
         )
+    for comp in parsed.components:
+        if comp.tq not in parsed.qtables:
+            raise UnsupportedFeatureError(f"missing DQT marker for table {comp.tq}")
+        for table_class, table_id in ((0, comp.dc_id), (1, comp.ac_id)):
+            if (table_class, table_id) not in parsed.htables:
+                raise UnsupportedFeatureError(
+                    f"missing DHT marker for table class {table_class} id {table_id}"
+                )
 
 
 def _find_scan_end(data, start):
@@ -193,19 +211,24 @@ def _find_scan_end(data, start):
             continue
         if 0xD0 <= follow <= 0xD7:
             raise UnsupportedFeatureError(f"RST{follow - 0xD0} restart marker in scan")
-        return j, follow
+        return j
 
 
-def parse_jpeg(data):
-    """Parse a baseline JFIF byte stream into tables, geometry, and scan data."""
-    if len(data) < 4 or data[0] != 0xFF or data[1] != SOI:
+def _segments(data):
+    """Walk the file's markers in order; the walk ends after EOI.
+
+    Yields (marker, offset, payload): ``offset`` is the file position of the
+    marker's 0xFF and ``payload`` a :class:`_Payload` over the segment body,
+    or None for the standalone SOI, EOI and RSTn.  Right after SOS it yields
+    (None, start, payload) for the entropy-coded scan.  Fill bytes (0xFF)
+    before a marker are skipped.
+    """
+    if len(data) < 2 or data[0] != 0xFF or data[1] != SOI:
         raise CorruptStreamError("missing SOI marker", offset=0)
-    parsed = ParsedJpeg()
-    seen_sof = False
-    pos = 2
+    pos = 0
     while True:
         if pos + 2 > len(data):
-            raise CorruptStreamError("file ends before SOS", offset=pos)
+            raise CorruptStreamError("file ends without EOI", offset=pos)
         if data[pos] != 0xFF:
             raise CorruptStreamError(
                 f"expected marker, found 0x{data[pos]:02X}", offset=pos
@@ -214,50 +237,73 @@ def parse_jpeg(data):
         if marker == 0xFF:  # fill byte
             pos += 1
             continue
-        seg_start = pos
-        pos += 2
-        if marker == EOI:
-            raise CorruptStreamError("EOI before any scan data", offset=seg_start)
-        if marker == SOI:
-            raise UnsupportedFeatureError("duplicate SOI marker")
-        if marker in _SOF_NAMES and marker != SOF0:
-            name = _SOF_NAMES[marker]
-            kind = " (progressive)" if marker == 0xC2 else ""
-            raise UnsupportedFeatureError(f"{name}{kind} frames are not supported")
-        if marker == DRI:
-            raise UnsupportedFeatureError("DRI restart intervals are not supported")
-
-        length = struct.unpack_from(">H", data, pos)[0] if pos + 2 <= len(data) else 0
-        if length < 2 or pos + length > len(data):
+        if marker in (SOI, EOI) or 0xD0 <= marker <= 0xD7:
+            yield marker, pos, None
+            if marker == EOI:
+                return
+            pos += 2
+            continue
+        # a length field cut short reads as < 2 or as running past the end
+        length = int.from_bytes(data[pos + 2:pos + 4], "big")
+        end = pos + 2 + length
+        if length < 2 or end > len(data):
             raise CorruptStreamError(
-                f"segment 0xFF{marker:02X} has inconsistent length", offset=seg_start
+                f"segment 0xFF{marker:02X} has inconsistent length", offset=pos
             )
-        payload = data[pos + 2:pos + length]
-        pos += length
+        yield marker, pos, _Payload(data, pos + 4, end)
+        pos = end
+        if marker == SOS:
+            end = _find_scan_end(data, pos)
+            yield None, pos, _Payload(data, pos, end)
+            pos = end
 
-        if marker == DQT:
-            _parse_dqt(payload, seg_start, parsed.qtables)
-        elif marker == DHT:
-            _parse_dht(payload, seg_start, parsed.htables)
-        elif marker == SOF0:
-            if seen_sof:
-                raise UnsupportedFeatureError("duplicate SOF0 marker")
-            seen_sof = True
-            _parse_sof0(payload, seg_start, parsed)
-        elif marker == SOS:
-            if not seen_sof:
-                raise UnsupportedFeatureError("missing SOF0 marker before SOS")
-            _parse_sos_header(payload, seg_start, parsed)
-            scan_start = pos
-            scan_end, next_marker = _find_scan_end(data, scan_start)
-            if next_marker != EOI:
+
+def parse_jpeg(data):
+    """Parse a baseline JFIF byte stream into tables, geometry, and scan data.
+
+    Anything outside the baseline subset raises UnsupportedFeatureError;
+    malformed structure raises CorruptStreamError with a file offset.
+    """
+    parsed = ParsedJpeg()
+    walk = _segments(data)
+    next(walk)  # SOI
+    for marker, offset, payload in walk:
+        if marker is None:  # the scan; only EOI may follow it
+            follow, end, _ = next(walk)
+            if follow != EOI:
                 raise CorruptStreamError(
-                    f"unexpected marker 0xFF{next_marker:02X} after scan",
-                    offset=scan_end,
+                    f"unexpected marker 0xFF{follow:02X} after scan", offset=end
                 )
-            parsed.scan_offset = scan_start
-            parsed.scan_data = data[scan_start:scan_end]
+            parsed.scan_offset = offset
+            parsed.scan_data = data[offset:payload.end]
             return parsed
+        if marker == DQT:
+            _parse_dqt(payload, parsed.qtables)
+        elif marker == DHT:
+            _parse_dht(payload, parsed.htables)
+        elif marker == SOF0:
+            if parsed.components:
+                raise UnsupportedFeatureError("duplicate SOF0 marker")
+            _parse_sof0(payload, parsed)
+        elif marker == SOS:
+            if not parsed.components:
+                raise UnsupportedFeatureError("missing SOF0 marker before SOS")
+            _parse_sos_header(payload, offset, parsed)
+        elif marker == EOI:
+            raise CorruptStreamError("EOI before any scan data", offset=offset)
+        elif marker == SOI:
+            raise UnsupportedFeatureError("duplicate SOI marker")
+        elif marker in _SOF_NAMES:
+            kind = " (progressive)" if marker == 0xC2 else ""
+            raise UnsupportedFeatureError(
+                f"{_SOF_NAMES[marker]}{kind} frames are not supported"
+            )
+        elif marker == DRI:
+            raise UnsupportedFeatureError("DRI restart intervals are not supported")
+        elif 0xD0 <= marker <= 0xD7:
+            raise CorruptStreamError(
+                f"RST{marker - 0xD0} marker outside a scan", offset=offset
+            )
         # APPn / COM / other tableless segments are skipped.
 
 
@@ -269,39 +315,10 @@ def list_markers(data):
 
     Returns [(name, offset)] including the entropy-coded span as 'scan'.
     """
-    names = {SOI: "SOI", EOI: "EOI", SOS: "SOS", DQT: "DQT", DHT: "DHT",
-             SOF0: "SOF0", COM: "COM", DRI: "DRI", DNL: "DNL"}
-    names.update(_SOF_NAMES)
-    names.update({APP0 + n: f"APP{n}" for n in range(16)})
-    out = []
-    if len(data) < 2 or data[:2] != b"\xff\xd8":
-        raise CorruptStreamError("missing SOI marker", offset=0)
-    out.append(("SOI", 0))
-    pos = 2
-    while pos < len(data):
-        if data[pos] != 0xFF:
-            raise CorruptStreamError(f"expected marker at 0x{pos:X}", offset=pos)
-        marker = data[pos + 1] if pos + 1 < len(data) else None
-        if marker is None:
-            raise CorruptStreamError("dangling 0xFF at end of file", offset=pos)
-        name = names.get(marker, f"0xFF{marker:02X}")
-        out.append((name, pos))
-        if marker == EOI:
-            return out
-        pos += 2
-        if marker == SOI or 0xD0 <= marker <= 0xD7:
-            continue  # standalone markers
-        if pos + 2 > len(data):
-            raise CorruptStreamError(f"truncated {name} segment", offset=pos)
-        length = struct.unpack_from(">H", data, pos)[0]
-        if length < 2 or pos + length > len(data):
-            raise CorruptStreamError(f"{name} length inconsistent", offset=pos)
-        pos += length
-        if marker == SOS:
-            end, follow = _find_scan_end(data, pos)
-            out.append(("scan", pos))
-            pos = end
-    raise CorruptStreamError("file ends without EOI", offset=len(data))
+    return [
+        (_MARKER_NAMES.get(marker) or f"0xFF{marker:02X}", offset)
+        for marker, offset, _ in _segments(data)
+    ]
 
 
 def validate_structure(data):

@@ -9,7 +9,7 @@ from . import huffman, jfif
 from .blocks import assemble_plane, block_grid, partition_blocks
 from .color import color_convert_forward, color_convert_inverse
 from .dct import forward_dct, inverse_dct
-from .errors import UnsupportedFeatureError, UnsupportedSizeError
+from .errors import UnsupportedSizeError
 from .image import RasterImage
 from .quant import QuantTable, dequantize, drop_positions, inverse_zigzag, quantize, zigzag
 
@@ -18,8 +18,7 @@ MAX_DIMENSION = 65535
 
 def _plane_to_scan_blocks(plane, table, drop_zigzag):
     """plane -> level shift -> DCT -> quantize -> zig-zag (n, 64) int array."""
-    h, w = plane.shape
-    blocks = partition_blocks(plane, w, h)
+    blocks = partition_blocks(plane)
     coeffs = forward_dct(blocks)
     quantized = quantize(coeffs, table)
     scan = zigzag(quantized.reshape(-1, 64))
@@ -81,13 +80,12 @@ def encode_image(img, luma_table, chroma_table=None, *, drop_zigzag=()):
 
 
 def _decode(data):
-    """Parse, check the baseline subset and entropy-decode a file.
+    """Parse and entropy-decode a file.
 
     Returns (parsed, blocks, tables) with one natural-order (n_blocks, 64)
     int array and one QuantTable per component.
     """
     parsed = jfif.parse_jpeg(bytes(data))
-    _check_baseline_subset(parsed)
     rows, cols = block_grid(parsed.width, parsed.height)
     scans = huffman.entropy_decode(
         parsed.scan_data,
@@ -110,25 +108,6 @@ def decode_coefficients(data):
     """
     _, blocks, tables = _decode(data)
     return blocks, tables
-
-
-def _check_baseline_subset(parsed):
-    n_comp = len(parsed.components)
-    if n_comp not in (1, 3):
-        raise UnsupportedFeatureError(f"{n_comp}-component frames are not supported")
-    for comp in parsed.components:
-        if (comp.h, comp.v) != (1, 1):
-            raise UnsupportedFeatureError(
-                f"SOF0 declares a subsampled component "
-                f"(sampling {comp.h}x{comp.v}); only 1x1 is supported"
-            )
-        if comp.tq not in parsed.qtables:
-            raise UnsupportedFeatureError(f"missing DQT marker for table {comp.tq}")
-        for table_class, table_id in ((0, comp.dc_id), (1, comp.ac_id)):
-            if (table_class, table_id) not in parsed.htables:
-                raise UnsupportedFeatureError(
-                    f"missing DHT marker for table class {table_class} id {table_id}"
-                )
 
 
 def decode_image(data):

@@ -32,18 +32,14 @@ class QualityReport:
         return self.mse == 0.0
 
 
-def _quality_planes(img, channel_mode):
-    if channel_mode == "luma":
-        if img.channels == 3:
-            return [color_convert_forward(img)[0]]
-        return [img.planes[0]]
-    if channel_mode == "all":
-        return list(img.planes)
-    raise InvalidInputError(f"unknown channel mode {channel_mode!r}")
+def _luma_plane(img):
+    if img.channels == 3:
+        return color_convert_forward(img)[0]
+    return img.planes[0]
 
 
-def psnr(original, decoded, channel_mode="luma"):
-    """Quality of ``decoded`` against ``original`` (luma plane by default)."""
+def psnr(original, decoded):
+    """Quality of ``decoded`` against ``original`` on the luma plane."""
     if (original.width, original.height, original.channels) != (
         decoded.width,
         decoded.height,
@@ -53,14 +49,8 @@ def psnr(original, decoded, channel_mode="luma"):
             f"geometry mismatch: {original.width}x{original.height}x{original.channels}"
             f" vs {decoded.width}x{decoded.height}x{decoded.channels}"
         )
-    diffs = [
-        np.subtract(a, b, dtype=np.float64)
-        for a, b in zip(
-            _quality_planes(original, channel_mode),
-            _quality_planes(decoded, channel_mode),
-        )
-    ]
-    mse = float(np.mean([np.mean(d * d) for d in diffs]))
+    d = np.subtract(_luma_plane(original), _luma_plane(decoded), dtype=np.float64)
+    mse = float(np.mean(d * d))
     if mse == 0.0:
         return QualityReport(mse=0.0, psnr=None)
     return QualityReport(mse=mse, psnr=float(10.0 * np.log10(255.0**2 / mse)))
@@ -80,7 +70,7 @@ def coefficient_sparsity(img, table, *, drop_zigzag=()):
     ``drop_zigzag`` is the encoder's drop set: those zig-zag positions are
     zeroed before counting, so the figures describe what the file stores.
     """
-    plane = _quality_planes(img, "luma")[0]
+    plane = _luma_plane(img)
     blocks = partition_blocks(plane)
     quantized = quantize(forward_dct(blocks), table).reshape(-1, 64)
     quantized[:, ZIGZAG_INDEX[drop_positions(drop_zigzag)]] = 0
@@ -95,7 +85,7 @@ def band_coefficients(img, band):
     """Un-quantized DCT coefficients of one natural-order band (luma plane)."""
     if not 0 <= band <= 63:
         raise InvalidInputError(f"band index must be in [0, 63], got {band}")
-    plane = _quality_planes(img, "luma")[0]
+    plane = _luma_plane(img)
     coeffs = forward_dct(partition_blocks(plane)).reshape(-1, 64)
     return coeffs[:, band]
 

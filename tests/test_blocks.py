@@ -34,11 +34,6 @@ def test_empty_plane_rejected():
         partition_blocks(np.zeros((0, 0)))
 
 
-def test_mismatched_geometry_rejected():
-    with pytest.raises(InvalidInputError):
-        partition_blocks(np.zeros((8, 8)), width=9, height=8)
-
-
 def test_block_grid_counts():
     assert block_grid(8, 8) == (1, 1)
     assert block_grid(9, 8) == (1, 2)

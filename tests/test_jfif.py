@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from statjpeg import jfif
-from statjpeg.errors import CorruptStreamError, UnsupportedFeatureError
+from statjpeg.errors import CorruptStreamError, StatJpegError, UnsupportedFeatureError
 from statjpeg.image import RasterImage
 from statjpeg.jpeg import decode_image, encode_image
 from statjpeg.quant import QuantTable
@@ -147,3 +147,88 @@ def test_decoder_uses_tables_from_the_file(gray_file):
     patched[start + 5] = 64  # zig-zag slot 0 (DC step), was 8
     altered = decode_image(bytes(patched))
     assert not np.array_equal(baseline.planes[0], altered.planes[0])
+
+
+def test_zero_width_rejected_at_width_field(gray_file):
+    start, _ = segment_span(gray_file, "SOF0")
+    patched = bytearray(gray_file)
+    patched[start + 7:start + 9] = b"\x00\x00"
+    with pytest.raises(CorruptStreamError, match="width") as exc:
+        decode_image(bytes(patched))
+    assert exc.value.offset == start + 7
+
+
+def test_sos_listing_a_component_twice_rejected(color_file):
+    start, _ = segment_span(color_file, "SOS")
+    patched = bytearray(color_file)
+    patched[start + 7] = patched[start + 5]  # second component id := first
+    with pytest.raises(CorruptStreamError, match="twice") as exc:
+        decode_image(bytes(patched))
+    assert exc.value.offset == start
+
+
+def test_stray_restart_marker_outside_scan_rejected(gray_file):
+    start, _ = segment_span(gray_file, "SOF0")
+    patched = gray_file[:start] + b"\xff\xd0" + gray_file[start:]
+    with pytest.raises(CorruptStreamError, match="RST0") as exc:
+        jfif.parse_jpeg(patched)
+    assert exc.value.offset == start
+
+
+def test_fill_bytes_before_a_marker_accepted(gray_file):
+    start, _ = segment_span(gray_file, "SOF0")
+    patched = gray_file[:start] + b"\xff\xff" + gray_file[start:]
+    assert jfif.validate_structure(patched) == []
+    assert jfif.parse_jpeg(patched).scan_data == jfif.parse_jpeg(gray_file).scan_data
+    assert decode_image(patched) == decode_image(gray_file)
+
+
+def field_mutants(data):
+    """Yield copies of ``data`` with one header field changed.
+
+    Every byte of every segment before the scan is set to a few values, and
+    each declared length to every value from 0 to length + 2.  In DHT symbol
+    lists only the first and last symbol are set: each distinct table builds
+    a 64K-entry decode table, and setting every symbol would take ~6 s more.
+    """
+    markers = jfif.list_markers(data)
+    scan = dict(markers)["scan"]
+    for name, start in markers:
+        if name == "SOI" or start >= scan:
+            continue
+        length = int.from_bytes(data[start + 2:start + 4], "big")
+        end = start + 2 + length
+        positions = range(start, end)
+        if name == "DHT":
+            positions = [*range(start, start + 21), start + 21, end - 1]
+        for i in positions:
+            for value in (0x00, 0x01, 0x11, 0x80, 0xFF):
+                if data[i] != value:
+                    yield data[:i] + bytes([value]) + data[i + 1:]
+        for n in range(length + 3):
+            if n != length:
+                yield data[:start + 2] + n.to_bytes(2, "big") + data[start + 4:]
+
+
+@pytest.mark.parametrize("file_fixture", ["gray_file", "color_file"])
+def test_field_mutations_raise_only_toolkit_errors(request, file_fixture):
+    data = request.getfixturevalue(file_fixture)
+    for mutant in field_mutants(data):
+        assert isinstance(jfif.validate_structure(mutant), list)
+        try:
+            decode_image(mutant)
+        except CorruptStreamError as exc:
+            assert 0 <= exc.offset <= len(mutant), exc
+        except StatJpegError:
+            pass
+
+
+@pytest.mark.parametrize("name", ["APP0", "DQT", "SOF0", "DHT", "SOS"])
+def test_short_segment_length_reported_inside_the_segment(gray_file, color_file, name):
+    for data in (gray_file, color_file):
+        start, end = segment_span(data, name)
+        for n in range(end - start - 2):
+            patched = data[:start + 2] + n.to_bytes(2, "big") + data[start + 4:]
+            with pytest.raises(CorruptStreamError) as exc:
+                jfif.parse_jpeg(patched)
+            assert start <= exc.value.offset <= start + 2 + n, (n, exc.value)
