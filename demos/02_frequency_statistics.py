@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from statjpeg import FrequencyStats, SampleSpec, load_image, sample_images, scan_corpus
+from statjpeg import FrequencyStats, load_image, sample_images, scan_corpus
 from statjpeg.metrics import band_coefficients, histogram
-from statjpeg.stats import save_delta_csv, save_stats
+from statjpeg.stats import rank_bands, save_delta_csv, save_stats
 from statjpeg.synth import generate_corpus
 
 with tempfile.TemporaryDirectory(prefix="statjpeg_demo_") as tmp:
@@ -22,7 +22,7 @@ with tempfile.TemporaryDirectory(prefix="statjpeg_demo_") as tmp:
     print(f"manifest digest: {manifest.digest[:16]}...")
 
     # --- interval sampling: every 2nd image of each class ------------------
-    selected = sample_images(manifest, SampleSpec(interval_k=2))
+    selected = sample_images(manifest, 2)
     print(f"sampling k=2 keeps {len(selected)} images")
 
     stats = FrequencyStats(source_digest=manifest.digest)
@@ -37,10 +37,11 @@ with tempfile.TemporaryDirectory(prefix="statjpeg_demo_") as tmp:
     for row in deltas.reshape(8, 8):
         print("  " + " ".join(f"{v:7.2f}" for v in row))
 
-    ranked = summary.ranked_bands()
+    ranked = rank_bands(deltas)
     print("\ntop 6 bands by spread (the low-frequency set):", ranked[:6].tolist())
     print("AC band means stay near zero (symmetric distributions):")
-    ac_means = np.array([b.mean for b in summary.channels["y"]][1:])
+    _, means, _ = summary.channels["y"]
+    ac_means = means[1:]
     ac_stds = deltas[1:]
     print(f"  max |mean| / spread over AC bands: {np.max(np.abs(ac_means) / ac_stds):.4f}")
 

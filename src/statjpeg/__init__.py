@@ -8,7 +8,7 @@ from .imgfile import load_image, save_ppm
 from .jpeg import decode_coefficients, decode_image, encode_image
 from .metrics import coefficient_sparsity, compression_rate, psnr
 from .quant import QuantTable
-from .stats import FrequencyStats, SampleSpec, load_stats, sample_images, save_stats
+from .stats import FrequencyStats, load_stats, sample_images, save_stats
 from .tables import (
     PlmParams,
     derive_plm_table,
@@ -26,7 +26,6 @@ __all__ = [
     "PlmParams",
     "QuantTable",
     "RasterImage",
-    "SampleSpec",
     "coefficient_sparsity",
     "compression_rate",
     "decode_coefficients",

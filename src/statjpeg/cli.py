@@ -24,7 +24,6 @@ from .stats import (
     LUMA_ONLY,
     PER_CHANNEL,
     FrequencyStats,
-    SampleSpec,
     load_stats,
     sample_images,
     save_delta_csv,
@@ -129,9 +128,8 @@ def split_source_list(text):
 
 def cmd_analyze(args):
     manifest = scan_corpus(args.corpus_dir)
-    spec = SampleSpec(args.k, args.channel_mode)
-    selected = sample_images(manifest, spec)
-    stats = FrequencyStats(spec.channel_mode, source_digest=manifest.digest)
+    stats = FrequencyStats(args.channel_mode, source_digest=manifest.digest)
+    selected = sample_images(manifest, args.k)
     for path in selected:
         stats.accumulate_image(load_image(path))
     summary = stats.finalize()

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptStreamError, UnsupportedFeatureError
-from .quant import ZIGZAG_INDEX, inverse_zigzag
+from .errors import CorruptStreamError, InvalidInputError, UnsupportedFeatureError
+from .huffman import HuffmanTable
+from .quant import ZIGZAG_INDEX, QuantTable, inverse_zigzag
 
 SOI = 0xD8
 EOI = 0xD9
@@ -78,8 +79,6 @@ def sos_segment(components):
 @dataclass
 class FrameComponent:
     ident: int
-    h: int
-    v: int
     tq: int
     dc_id: int = None
     ac_id: int = None
@@ -90,8 +89,8 @@ class ParsedJpeg:
     width: int = 0
     height: int = 0
     components: list = field(default_factory=list)
-    qtables: dict = field(default_factory=dict)      # id -> 64 natural-order ints
-    htables: dict = field(default_factory=dict)      # (class, id) -> (bits, values)
+    qtables: dict = field(default_factory=dict)      # id -> QuantTable
+    htables: dict = field(default_factory=dict)      # (class, id) -> HuffmanTable
     scan_offset: int = 0
     scan_data: bytes = b""
 
@@ -127,16 +126,26 @@ def _parse_dqt(payload, tables):
         if pq != 0:
             raise UnsupportedFeatureError("DQT with 16-bit precision (Pq=1)")
         zz = np.frombuffer(payload.take(64, "DQT entries"), dtype=np.uint8)
-        tables[tq] = inverse_zigzag(zz.astype(np.int64))
+        if not zz.all():
+            zero = int(np.argmin(zz))
+            raise CorruptStreamError(
+                f"DQT table {tq} has step 0 at zig-zag position {zero}",
+                offset=payload.pos - 64 + zero,
+            )
+        tables[tq] = QuantTable(inverse_zigzag(zz.astype(np.int64)))
 
 
 def _parse_dht(payload, tables):
     while payload.pos < payload.end:
         tc_th = payload.u8("DHT header")
         tc, th = tc_th >> 4, tc_th & 0x0F
-        bits = tuple(payload.take(16, "DHT code counts"))
-        values = tuple(payload.take(sum(bits), "DHT symbols"))
-        tables[(tc, th)] = (bits, values)
+        bits_offset = payload.pos
+        bits = payload.take(16, "DHT code counts")
+        values = payload.take(sum(bits), "DHT symbols")
+        try:
+            tables[(tc, th)] = HuffmanTable(bits, values)
+        except InvalidInputError as exc:
+            raise CorruptStreamError(str(exc), offset=bits_offset) from exc
 
 
 def _parse_sof0(payload, parsed):
@@ -161,7 +170,7 @@ def _parse_sof0(payload, parsed):
                 f"SOF0 declares a subsampled component "
                 f"(sampling {hv >> 4}x{hv & 0x0F}); only 1x1 is supported"
             )
-        parsed.components.append(FrameComponent(ident, hv >> 4, hv & 0x0F, tq))
+        parsed.components.append(FrameComponent(ident, tq))
 
 
 def _parse_sos_header(payload, offset, parsed):

@@ -11,7 +11,7 @@ from .color import color_convert_forward, color_convert_inverse
 from .dct import forward_dct, inverse_dct
 from .errors import UnsupportedSizeError
 from .image import RasterImage
-from .quant import QuantTable, dequantize, drop_positions, inverse_zigzag, quantize, zigzag
+from .quant import dequantize, drop_positions, inverse_zigzag, quantize, zigzag
 
 MAX_DIMENSION = 65535
 
@@ -90,12 +90,12 @@ def _decode(data):
     scans = huffman.entropy_decode(
         parsed.scan_data,
         rows * cols,
-        [huffman.HuffmanTable(*parsed.htables[(0, c.dc_id)]) for c in parsed.components],
-        [huffman.HuffmanTable(*parsed.htables[(1, c.ac_id)]) for c in parsed.components],
+        [parsed.htables[(0, c.dc_id)] for c in parsed.components],
+        [parsed.htables[(1, c.ac_id)] for c in parsed.components],
         base_offset=parsed.scan_offset,
     )
     blocks = [inverse_zigzag(scan) for scan in scans]
-    tables = [QuantTable(parsed.qtables[c.tq]) for c in parsed.components]
+    tables = [parsed.qtables[c.tq] for c in parsed.components]
     return parsed, blocks, tables
 
 

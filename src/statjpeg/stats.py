@@ -30,30 +30,17 @@ N_BANDS = 64
 STATS_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    """Interval sampling configuration: keep every k-th image of each class."""
-
-    interval_k: int = 1
-    channel_mode: str = LUMA_ONLY
-
-    def __post_init__(self):
-        if self.interval_k < 1:
-            raise InvalidInputError(f"interval_k must be >= 1, got {self.interval_k}")
-        if self.channel_mode not in (LUMA_ONLY, PER_CHANNEL):
-            raise InvalidInputError(f"unknown channel mode {self.channel_mode!r}")
-
-
-def sample_images(manifest, spec):
+def sample_images(manifest, k):
     """Select every k-th image per class, visiting classes in manifest order.
 
     The running counter m starts at 1 within each class; an image is kept
     when m % k == 0.  Warns (EmptySampleWarning) when nothing is selected.
     """
+    if k < 1:
+        raise InvalidInputError(f"interval k must be >= 1, got {k}")
     if not manifest.classes:
         raise InvalidInputError("corpus manifest has no classes")
     selected = []
-    k = spec.interval_k
     for _, paths in manifest.classes:
         for m, path in enumerate(paths, start=1):
             if m % k == 0:
@@ -153,22 +140,20 @@ class FrequencyStats:
                     f"channel {channel!r} has only {count} blocks; need at least 2"
                 )
             stddev = np.sqrt(np.maximum(m2, 0.0) / count)
-            channels[channel] = tuple(
-                BandStats(count, m, s) for m, s in zip(mean.tolist(), stddev.tolist())
-            )
+            channels[channel] = (count, _frozen(mean), _frozen(stddev))
         return FrequencySummary(channels, self.total_blocks, self.source_digest)
 
 
-@dataclass(frozen=True)
-class BandStats:
-    count: int
-    mean: float
-    stddev: float
+def _frozen(values):
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
 class FrequencySummary:
-    """Finalized view: per-channel band statistics plus provenance."""
+    """Finalized view: per channel, (count, mean[64], stddev[64]) with
+    read-only natural-order arrays, plus provenance."""
 
     channels: dict
     total_blocks: int
@@ -176,11 +161,7 @@ class FrequencySummary:
 
     def deltas(self, channel="y"):
         """The 64 per-band standard deviations in natural order."""
-        return np.array([b.stddev for b in self.channels[channel]])
-
-    def ranked_bands(self, channel="y"):
-        """Natural band indices by descending spread (zig-zag tie-break)."""
-        return rank_bands(self.deltas(channel))
+        return self.channels[channel][2]
 
     def __eq__(self, other):
         if not isinstance(other, FrequencySummary):
@@ -188,7 +169,12 @@ class FrequencySummary:
         return (
             self.total_blocks == other.total_blocks
             and self.source_digest == other.source_digest
-            and self.channels == other.channels
+            and self.channels.keys() == other.channels.keys()
+            and all(
+                np.array_equal(mine, theirs)
+                for channel, moments in self.channels.items()
+                for mine, theirs in zip(moments, other.channels[channel])
+            )
         )
 
 
@@ -199,10 +185,10 @@ def save_stats(summary, path):
         "schema_version": STATS_SCHEMA_VERSION,
         "channels": {
             channel: {
-                str(band): {"count": b.count, "mean": b.mean, "stddev": b.stddev}
-                for band, b in enumerate(bands)
+                str(band): {"count": count, "mean": m, "stddev": s}
+                for band, (m, s) in enumerate(zip(mean.tolist(), stddev.tolist()))
             }
-            for channel, bands in summary.channels.items()
+            for channel, (count, mean, stddev) in summary.channels.items()
         },
         "total_blocks": summary.total_blocks,
         "source_manifest_digest": summary.source_digest,
@@ -224,24 +210,24 @@ def load_stats(path):
     for channel, bands in doc["channels"].items():
         if sorted(int(k) for k in bands) != list(range(N_BANDS)):
             raise InvalidInputError(f"channel {channel!r} does not cover bands 0..63")
-        channels[channel] = tuple(
-            BandStats(
-                int(bands[str(i)]["count"]),
-                float(bands[str(i)]["mean"]),
-                float(bands[str(i)]["stddev"]),
-            )
-            for i in range(N_BANDS)
+        ordered = [bands[str(i)] for i in range(N_BANDS)]
+        counts = {int(b["count"]) for b in ordered}
+        if len(counts) != 1:
+            raise InvalidInputError(f"channel {channel!r} bands disagree on count")
+        channels[channel] = (
+            counts.pop(),
+            _frozen([float(b["mean"]) for b in ordered]),
+            _frozen([float(b["stddev"]) for b in ordered]),
         )
     return FrequencySummary(
         channels, int(doc["total_blocks"]), doc.get("source_manifest_digest")
     )
 
 
-def save_delta_csv(summary, path, channel="y"):
-    """Write the 64 per-band deviations (natural order) as band,stddev rows."""
-    deltas = summary.deltas(channel)
+def save_delta_csv(summary, path):
+    """Write the 64 luma per-band deviations (natural order) as band,stddev rows."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["band", "stddev"])
-        for band in range(N_BANDS):
-            writer.writerow([band, repr(float(deltas[band]))])
+        for band, stddev in enumerate(summary.deltas().tolist()):
+            writer.writerow([band, repr(stddev)])

@@ -88,10 +88,9 @@ def generate_corpus(
     classes=DEFAULT_CLASSES,
     images_per_class=16,
     size=(96, 96),
-    color=True,
     seed=20240801,
 ):
-    """Write a class-per-directory PPM corpus under ``root``; returns root."""
+    """Write a class-per-directory RGB PPM corpus under ``root``; returns root."""
     root = Path(root)
     height, width = size
     for class_index, kind in enumerate(classes):
@@ -99,6 +98,6 @@ def generate_corpus(
         class_dir.mkdir(parents=True, exist_ok=True)
         for i in range(images_per_class):
             rng = np.random.default_rng(seed + 1000 * class_index + i)
-            img = synth_image(kind, rng, height, width, color=color)
+            img = synth_image(kind, rng, height, width)
             save_ppm(img, class_dir / f"{kind}_{i:03d}.ppm")
     return root

@@ -4,7 +4,9 @@ This is the straightforward T.81 coder that ``statjpeg.huffman`` replaced
 with a vectorized encoder and a fused table-driven decoder.  It is kept
 here, for tests only, as the oracle those fast paths are compared against:
 same bytes out of :func:`entropy_encode`, and from :func:`entropy_decode`
-the same coefficients or the same exception class and byte offset.
+the same coefficients or the same exception class and byte offset.  The
+oracle keeps its own copy of the byte unstuffing as well, so a change to the
+library's unstuffing shows up in the marker-inserted cases.
 """
 
 import functools
@@ -13,7 +15,7 @@ from bisect import bisect_right
 import numpy as np
 
 from statjpeg.errors import CorruptStreamError, EncodingRangeError, InvalidInputError
-from statjpeg.huffman import MAX_AC, MAX_DC, MAX_DC_DIFF, _unstuff
+from statjpeg.huffman import MAX_AC, MAX_DC, MAX_DC_DIFF
 
 _LUT_BITS = 16
 
@@ -36,6 +38,33 @@ def _build_tables(bits, values):
             code += 1
         code <<= 1
     return encode, lut
+
+
+def _unstuff(data, base_offset):
+    """Remove 0xFF00 stuffing; reject bare markers and trailing 0xFF."""
+    out = bytearray()
+    stuff_positions = []
+    i = 0
+    n = len(data)
+    while True:
+        j = data.find(0xFF, i)
+        if j < 0:
+            out += data[i:]
+            break
+        out += data[i:j + 1]
+        if j + 1 >= n:
+            raise CorruptStreamError(
+                "scan data ends mid byte-stuffing", offset=base_offset + j
+            )
+        follow = data[j + 1]
+        if follow != 0x00:
+            raise CorruptStreamError(
+                f"marker byte 0xFF{follow:02X} inside scan data",
+                offset=base_offset + j,
+            )
+        stuff_positions.append(len(out))
+        i = j + 2
+    return bytes(out), stuff_positions
 
 
 def _value_bits(value, size):

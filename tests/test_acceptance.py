@@ -23,7 +23,7 @@ from statjpeg.jfif import validate_structure
 from statjpeg.jpeg import decode_image, encode_image
 from statjpeg.metrics import coefficient_sparsity, psnr
 from statjpeg.quant import QuantTable
-from statjpeg.stats import FrequencyStats, SampleSpec, sample_images
+from statjpeg.stats import FrequencyStats, sample_images
 from statjpeg.imgfile import load_image
 from statjpeg.synth import synth_image
 from statjpeg.tables import (
@@ -181,7 +181,7 @@ def test_criterion_6_sparsity_trend(bundled_manifest):
 
 def test_criterion_7_compression_rate_ordering(bundled_manifest):
     start = time.time()
-    paths = sample_images(bundled_manifest, SampleSpec(1))
+    paths = sample_images(bundled_manifest, 1)
 
     stats = FrequencyStats()
     for path in paths:

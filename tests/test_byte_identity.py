@@ -5,6 +5,10 @@ layouts were made table-driven.  Each case covers one layout the encoder
 writes: grayscale (with and without a chroma table passed in), RGB with one
 table, RGB with two tables, RGB with a drop set, and an odd size whose
 edge blocks are padded.
+
+The statistics digests were recorded before the band statistics became
+plain arrays.  They cover the ``analyze`` JSON and CSV in both channel
+modes and the tables ``design-table`` derives from them.
 """
 
 import hashlib
@@ -12,8 +16,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from statjpeg import cli
 from statjpeg.jpeg import decode_image, encode_image
-from statjpeg.synth import synth_image
+from statjpeg.synth import generate_corpus, synth_image
 from statjpeg.tables import rm_hf_table, standard_table
 
 LUMA = standard_table(75, "luma")
@@ -82,3 +87,32 @@ def test_bytes_and_pixels_match_recorded(name):
     img, args, kwargs = CASES[name]
     data = encode_image(img, *args, **kwargs)
     assert (hashlib.sha256(data).hexdigest(), pixel_digest(decode_image(data))) == RECORDED[name]
+
+
+# output -> SHA-256 of the files it writes
+RECORDED_STATS = {
+    "analyze-luma": "e2121b50dd4aaae0bc5c28487e9a3ffd16617e98d4f3b957b41611979fd0721c",
+    "analyze-per-channel": "e007d664a764681f5bad702ee2c60072b0124e39d6c4f61d7539a6dc94fbb459",
+    "design-table-y": "dbe4e4f1f278bcd5d38c5e53c9fae27227559f7bf85fbe744b80aa3e94e94958",
+    "design-table-chroma": "b4159ca69fafc2eed5822f40519c03627be2932d8ec9a1c84157435463cdf4b9",
+}
+
+
+def test_statistics_outputs_match_recorded(tmp_path):
+    corpus = generate_corpus(tmp_path / "corpus", images_per_class=3, size=(37, 53))
+    digests = {}
+    for mode in ("luma", "per-channel"):
+        stats, csv = tmp_path / f"{mode}.json", tmp_path / f"{mode}.csv"
+        argv = ["analyze", str(corpus), "--channel-mode", mode,
+                "--out", str(stats), "--csv", str(csv)]
+        assert cli.main(argv) == 0
+        digests[f"analyze-{mode}"] = hashlib.sha256(
+            stats.read_bytes() + csv.read_bytes()
+        ).hexdigest()
+    for channel, mode in (("y", "luma"), ("chroma", "per-channel")):
+        table = tmp_path / f"{channel}-table.json"
+        argv = ["design-table", str(tmp_path / f"{mode}.json"),
+                "--channel", channel, "--out", str(table)]
+        assert cli.main(argv) == 0
+        digests[f"design-table-{channel}"] = hashlib.sha256(table.read_bytes()).hexdigest()
+    assert digests == RECORDED_STATS

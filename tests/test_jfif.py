@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from statjpeg import jfif
-from statjpeg.errors import CorruptStreamError, StatJpegError, UnsupportedFeatureError
+from statjpeg.errors import CorruptStreamError, UnsupportedFeatureError
 from statjpeg.image import RasterImage
 from statjpeg.jpeg import decode_image, encode_image
 from statjpeg.quant import QuantTable
@@ -49,8 +49,8 @@ def test_dqt_count_reflects_table_modes(gray_file, color_file):
     assert sum(1 for n, _ in jfif.list_markers(color_file) if n == "DQT") == 2
     parsed = jfif.parse_jpeg(color_file)
     assert set(parsed.qtables) == {0, 1}
-    assert parsed.qtables[0][0] == 8
-    assert parsed.qtables[1][0] == 12
+    assert parsed.qtables[0].values[0] == 8
+    assert parsed.qtables[1].values[0] == 12
 
 
 def test_progressive_frame_rejected(gray_file):
@@ -219,8 +219,34 @@ def test_field_mutations_raise_only_toolkit_errors(request, file_fixture):
             decode_image(mutant)
         except CorruptStreamError as exc:
             assert 0 <= exc.offset <= len(mutant), exc
-        except StatJpegError:
+        except UnsupportedFeatureError:
             pass
+
+
+def test_dqt_step_zero_reported_at_the_entry(gray_file):
+    start, _ = segment_span(gray_file, "DQT")
+    entries = start + 5  # marker, length, Pq/Tq
+    for position in (0, 1, 63):
+        patched = bytearray(gray_file)
+        patched[entries + position] = 0
+        with pytest.raises(CorruptStreamError, match="step 0") as exc:
+            decode_image(bytes(patched))
+        assert exc.value.offset == entries + position
+
+
+def test_oversubscribed_dht_reported_at_its_code_counts(gray_file):
+    # the gray file has one DHT segment for its DC table, one for its AC table
+    for occurrence in (0, 1):
+        start, _ = segment_span(gray_file, "DHT", occurrence)
+        bits_at = start + 5  # marker, length, Tc/Th
+        # move three codes to length 1, keeping the symbol count: Kraft sum > 1
+        patched = bytearray(gray_file)
+        longest = max(i for i in range(16) if patched[bits_at + i] >= 3)
+        patched[bits_at + longest] -= 3
+        patched[bits_at] += 3
+        with pytest.raises(CorruptStreamError, match="over-subscribe") as exc:
+            decode_image(bytes(patched))
+        assert exc.value.offset == bits_at
 
 
 @pytest.mark.parametrize("name", ["APP0", "DQT", "SOF0", "DHT", "SOS"])

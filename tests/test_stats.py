@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from statjpeg.image import RasterImage
 from statjpeg.quant import ZIGZAG_INDEX
 from statjpeg.stats import (
     FrequencyStats,
-    SampleSpec,
     load_stats,
     rank_bands,
     sample_images,
@@ -49,34 +49,35 @@ def two_pass_deltas(images):
 class TestSampling:
     def test_k_one_selects_everything(self):
         manifest = manifest_of([("a", 4), ("b", 3)])
-        assert sample_images(manifest, SampleSpec(1)) == manifest.image_paths()
+        assert sample_images(manifest, 1) == manifest.image_paths()
 
     def test_every_third_image(self):
         manifest = manifest_of([("a", 10)])
-        selected = sample_images(manifest, SampleSpec(3))
+        selected = sample_images(manifest, 3)
         # m runs 1..10; kept where m % 3 == 0 -> positions 3, 6, 9
         assert [p.name for p in selected] == ["img_02.ppm", "img_05.ppm", "img_08.ppm"]
 
     def test_class_order_preserved(self):
         manifest = manifest_of([("b", 2), ("a", 2)])
-        selected = sample_images(manifest, SampleSpec(2))
+        selected = sample_images(manifest, 2)
         assert [str(p.parent) for p in selected] == ["b", "a"]
 
     def test_oversized_interval_warns_empty(self):
         manifest = manifest_of([("a", 3), ("b", 2)])
         with pytest.warns(EmptySampleWarning):
-            assert sample_images(manifest, SampleSpec(5)) == []
+            assert sample_images(manifest, 5) == []
 
     def test_empty_manifest_rejected(self):
         empty = CorpusManifest(Path("fake"), (), "d")
         with pytest.raises(InvalidInputError):
-            sample_images(empty, SampleSpec(1))
+            sample_images(empty, 1)
 
     def test_spec_validation(self):
+        manifest = manifest_of([("a", 3)])
         with pytest.raises(InvalidInputError):
-            SampleSpec(0)
+            sample_images(manifest, 0)
         with pytest.raises(InvalidInputError):
-            SampleSpec(1, "bogus")
+            FrequencyStats("bogus")
 
 
 def block_coefficients(images):
@@ -191,22 +192,22 @@ class TestFrequencyStats:
         stats = FrequencyStats()
         for _ in range(3):
             stats.accumulate_image(gray_image(rng.integers(0, 256, size=(17, 9))))
-        counts = {band.count for band in stats.finalize().channels["y"]}
-        assert len(counts) == 1
-        assert stats.total_blocks == counts.pop()
+        count, mean, stddev = stats.finalize().channels["y"]
+        assert mean.shape == stddev.shape == (64,)
+        assert stats.total_blocks == count
 
     def test_rgb_image_uses_luma_plane(self, rng):
         arr = rng.integers(0, 256, size=(16, 16, 3)).astype(np.uint8)
         stats = FrequencyStats().accumulate_image(RasterImage.from_array(arr))
-        assert stats.finalize().channels["y"][0].count == 4
+        assert stats.finalize().channels["y"][0] == 4
 
     def test_per_channel_mode_pools_chroma(self, rng):
         arr = rng.integers(0, 256, size=(16, 16, 3)).astype(np.uint8)
         stats = FrequencyStats("per-channel")
         stats.accumulate_image(RasterImage.from_array(arr))
         channels = stats.finalize().channels
-        assert channels["y"][0].count == 4
-        assert channels["chroma"][0].count == 8  # Cb and Cr pooled
+        assert channels["y"][0] == 4
+        assert channels["chroma"][0] == 8  # Cb and Cr pooled
 
     def test_per_channel_mode_rejects_grayscale(self):
         stats = FrequencyStats("per-channel")
@@ -252,7 +253,7 @@ def test_bundled_corpus_ac_means_near_zero(bundled_manifest):
         stats.accumulate_image(load_image(path))
     summary = stats.finalize()
     deltas = summary.deltas()
-    means = np.array([b.mean for b in summary.channels["y"]])
+    _, means, _ = summary.channels["y"]
     assert np.all(np.abs(means[1:]) <= 0.05 * deltas[1:])
 
 
@@ -267,6 +268,34 @@ class TestPersistence:
         path = tmp_path / "stats.json"
         save_stats(summary, path)
         assert load_stats(path) == summary
+
+    def test_summary_holds_read_only_arrays(self, rng, tmp_path):
+        stats = FrequencyStats("per-channel")
+        stats.accumulate_image(
+            RasterImage.from_array(rng.integers(0, 256, size=(16, 16, 3)).astype(np.uint8))
+        )
+        summary = stats.finalize()
+        path = tmp_path / "stats.json"
+        save_stats(summary, path)
+        for loaded in (summary, load_stats(path)):
+            for channel, (count, mean, stddev) in loaded.channels.items():
+                assert isinstance(count, int)
+                for arr in (mean, stddev):
+                    assert arr.dtype == np.float64 and arr.shape == (64,)
+                    assert not arr.flags.writeable
+                assert loaded.deltas(channel) is stddev
+
+    def test_disagreeing_band_counts_rejected(self, rng, tmp_path):
+        stats = FrequencyStats().accumulate_image(
+            gray_image(rng.integers(0, 256, size=(16, 16)))
+        )
+        path = tmp_path / "stats.json"
+        save_stats(stats.finalize(), path)
+        doc = json.loads(path.read_text())
+        doc["channels"]["y"]["17"]["count"] += 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match="disagree on count"):
+            load_stats(path)
 
     def test_version_mismatch(self, tmp_path, rng):
         stats = FrequencyStats()
