@@ -40,6 +40,6 @@ print("standard table at QF 50 (Annex-K base):")
 print(format_grid(standard_table(50)))
 print("\nuniform step 4 ('same step everywhere'):")
 print(format_grid(same_q_table(4)))
-rm, drop = rm_hf_table(standard_table(100), 3)
+rm = rm_hf_table(standard_table(100), 3)
 print(f"\nhigh-frequency removal keeps the base table and zeroes "
-      f"zig-zag positions {sorted(drop)} at encode time")
+      f"zig-zag positions {rm.provenance['drop_zigzag']} at quantization")

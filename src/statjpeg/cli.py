@@ -18,7 +18,7 @@ from .corpus import scan_corpus
 from .errors import InvalidInputError, StatJpegError
 from .imgfile import load_image, save_ppm
 from .jpeg import decode_image, encode_image
-from .metrics import coefficient_sparsity, psnr
+from .metrics import coefficient_sparsity, compression_rate, psnr
 from .quant import QuantTable
 from .stats import (
     LUMA_ONLY,
@@ -48,12 +48,11 @@ EXIT_USAGE = 2
 
 @dataclass(frozen=True)
 class TableSource:
-    """Resolved quantization setup for one encode: tables plus drop set."""
+    """Resolved quantization setup for one encode."""
 
     label: str
     luma: QuantTable
     chroma: QuantTable = None
-    drop: frozenset = frozenset()
 
 
 def _plm_params(args):
@@ -68,7 +67,7 @@ def resolve_table_source(spec, params=None):
     """Parse a --table source spec into tables.
 
     Grammar: plm:<stats.json> | standard-qf:<1..100> | same-q:<1..255> |
-    rm-hf:<n>[,qf:<1..100>] | file:<table.json>
+    rm-hf:<n> | file:<table.json>
     """
     params = params or PlmParams()
     kind, _, rest = spec.partition(":")
@@ -92,38 +91,20 @@ def resolve_table_source(spec, params=None):
         if kind == "same-q":
             return TableSource(spec, same_q_table(int(rest)))
         if kind == "rm-hf":
-            n_text, _, qf_text = rest.partition(",")
-            qf = 100
-            if qf_text:
-                if not qf_text.startswith("qf:"):
-                    raise InvalidInputError(
-                        f"rm-hf options must be rm-hf:<n>[,qf:<m>], got {spec!r}"
-                    )
-                qf = int(qf_text[3:])
-            luma, drop = rm_hf_table(standard_table(qf, "luma"), int(n_text))
-            chroma, _ = rm_hf_table(standard_table(qf, "chroma"), int(n_text))
-            return TableSource(spec, luma, chroma, drop)
+            n = int(rest)
+            return TableSource(
+                spec,
+                rm_hf_table(standard_table(100, "luma"), n),
+                rm_hf_table(standard_table(100, "chroma"), n),
+            )
         if kind == "file":
-            table = load_table(rest)
-            drop = frozenset(table.provenance.get("drop_zigzag", ()))
-            return TableSource(spec, table, None, drop)
+            return TableSource(spec, load_table(rest))
     except ValueError as exc:
         raise InvalidInputError(f"bad table source {spec!r}: {exc}") from exc
     raise InvalidInputError(
         f"unknown table source {spec!r} "
         "(expected plm:/standard-qf:/same-q:/rm-hf:/file:)"
     )
-
-
-def split_source_list(text):
-    """Split a comma list of source specs, keeping rm-hf:N,qf:M together."""
-    parts = []
-    for token in text.split(","):
-        if token.startswith("qf:") and parts:
-            parts[-1] += "," + token
-        else:
-            parts.append(token)
-    return [p.strip() for p in parts if p.strip()]
 
 
 def cmd_analyze(args):
@@ -161,7 +142,7 @@ def cmd_design_table(args):
 def cmd_compress(args):
     img = load_image(args.input)
     source = resolve_table_source(args.table, _plm_params(args))
-    data = encode_image(img, source.luma, source.chroma, drop_zigzag=source.drop)
+    data = encode_image(img, source.luma, source.chroma)
     Path(args.out).write_bytes(data)
     print(f"{args.out}: {len(data)} bytes ({source.label})")
     return EXIT_OK
@@ -182,7 +163,7 @@ def _aggregate(rows_for_source):
     return {
         "bytes_ref": ref,
         "bytes_candidate": cand,
-        "compression_rate": ref / cand,
+        "compression_rate": compression_rate(ref, cand),
         "mean_psnr_db": float(np.mean(psnrs)) if psnrs else None,
         "lossless_images": sum(1 for r in rows_for_source if r["psnr"] is None),
         "mean_zero_fraction": float(
@@ -205,17 +186,15 @@ def run_benchmark(manifest, sources):
         img = load_image(path)
         ref_bytes = len(encode_image(img, ref_luma, ref_chroma))
         for source in sources:
-            data = encode_image(
-                img, source.luma, source.chroma, drop_zigzag=source.drop
-            )
+            data = encode_image(img, source.luma, source.chroma)
             quality = psnr(img, decode_image(data))
-            sparsity = coefficient_sparsity(img, source.luma, drop_zigzag=source.drop)
+            sparsity = coefficient_sparsity(img, source.luma)
             rows.append({
                 "path": str(path.relative_to(manifest.root)),
                 "source": source.label,
                 "bytes_ref": ref_bytes,
                 "bytes_candidate": len(data),
-                "cr": ref_bytes / len(data),
+                "cr": compression_rate(ref_bytes, len(data)),
                 "psnr": quality.psnr,
                 "zero_fraction": sparsity.zero_fraction,
             })
@@ -267,7 +246,7 @@ def cmd_benchmark(args):
         )
 
     if args.assert_cr_order:
-        order = split_source_list(args.assert_cr_order)
+        order = [s.strip() for s in args.assert_cr_order.split(",") if s.strip()]
         unknown = [label for label in order if label not in aggregates]
         if unknown:
             raise InvalidInputError(

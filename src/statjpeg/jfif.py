@@ -54,10 +54,10 @@ def dqt_segment(table_id, table):
 
 
 def sof0_segment(width, height, components):
-    """``components``: sequence of (component_id, h, v, quant_table_id)."""
+    """``components``: sequence of (component_id, quant_table_id), each sampled 1x1."""
     payload = struct.pack(">BHHB", 8, height, width, len(components))
-    for ident, h, v, tq in components:
-        payload += struct.pack("BBB", ident, (h << 4) | v, tq)
+    for ident, tq in components:
+        payload += struct.pack("BBB", ident, 0x11, tq)
     return _segment(SOF0, payload)
 
 

@@ -11,19 +11,17 @@ from .color import color_convert_forward, color_convert_inverse
 from .dct import forward_dct, inverse_dct
 from .errors import UnsupportedSizeError
 from .image import RasterImage
-from .quant import dequantize, drop_positions, inverse_zigzag, quantize, zigzag
+from .quant import dequantize, inverse_zigzag, quantize, zigzag
 
 MAX_DIMENSION = 65535
 
 
-def _plane_to_scan_blocks(plane, table, drop_zigzag):
+def _plane_to_scan_blocks(plane, table):
     """plane -> level shift -> DCT -> quantize -> zig-zag (n, 64) int array."""
     blocks = partition_blocks(plane)
     coeffs = forward_dct(blocks)
     quantized = quantize(coeffs, table)
-    scan = zigzag(quantized.reshape(-1, 64))
-    scan[:, drop_zigzag] = 0
-    return scan
+    return zigzag(quantized.reshape(-1, 64))
 
 
 # Annex-K Huffman tables by Huffman table id: 0 luma, 1 chroma.
@@ -37,25 +35,22 @@ def _component_layout(channels, single_table):
     return [(1, 0, 0), (2, chroma_tq, 1), (3, chroma_tq, 1)][:channels]
 
 
-def encode_image(img, luma_table, chroma_table=None, *, drop_zigzag=()):
+def encode_image(img, luma_table, chroma_table=None):
     """Encode a RasterImage into a JFIF byte stream.
 
     ``chroma_table=None`` selects single-table mode: the luma table is used
-    for every component.  ``drop_zigzag`` lists zig-zag positions whose
-    quantized coefficients are forced to zero in every block (the
-    high-frequency removal baseline).
+    for every component.  A table's drop set (see :class:`QuantTable`) is
+    stored as zero in every block of the components it quantizes.
     """
     if img.width > MAX_DIMENSION or img.height > MAX_DIMENSION:
         raise UnsupportedSizeError(
             f"{img.width}x{img.height} exceeds the {MAX_DIMENSION} JFIF limit"
         )
-    drop = drop_positions(drop_zigzag)
-
     layout = _component_layout(img.channels, chroma_table is None)
     qtables = (luma_table, chroma_table)
     planes = img.planes if img.channels == 1 else color_convert_forward(img)
     component_blocks = [
-        _plane_to_scan_blocks(plane, qtables[tq], drop)
+        _plane_to_scan_blocks(plane, qtables[tq])
         for plane, (_, tq, _) in zip(planes, layout)
     ]
     scan = huffman.entropy_encode(
@@ -68,7 +63,7 @@ def encode_image(img, luma_table, chroma_table=None, *, drop_zigzag=()):
     for tq in sorted({tq for _, tq, _ in layout}):
         parts.append(jfif.dqt_segment(tq, qtables[tq]))
     parts.append(jfif.sof0_segment(
-        img.width, img.height, [(cid, 1, 1, tq) for cid, tq, _ in layout]
+        img.width, img.height, [(cid, tq) for cid, tq, _ in layout]
     ))
     for th in sorted({th for _, _, th in layout}):
         parts.append(jfif.dht_segment(0, th, _DC_TABLES[th]))

@@ -8,7 +8,7 @@ from .blocks import partition_blocks
 from .color import color_convert_forward
 from .dct import forward_dct
 from .errors import InvalidInputError
-from .quant import ZIGZAG_INDEX, drop_positions, quantize, round_half_away
+from .quant import quantize, round_half_away
 
 
 def compression_rate(reference_bytes, candidate_bytes):
@@ -64,16 +64,15 @@ class SparsityReport:
     per_band: tuple  # 63 AC bands, natural order indices 1..63
 
 
-def coefficient_sparsity(img, table, *, drop_zigzag=()):
+def coefficient_sparsity(img, table):
     """Quantize the luma plane with ``table`` and count zeroed AC bands.
 
-    ``drop_zigzag`` is the encoder's drop set: those zig-zag positions are
-    zeroed before counting, so the figures describe what the file stores.
+    ``quantize`` applies the table's drop set as the encoder does, so the
+    figures describe what the file stores.
     """
     plane = _luma_plane(img)
     blocks = partition_blocks(plane)
     quantized = quantize(forward_dct(blocks), table).reshape(-1, 64)
-    quantized[:, ZIGZAG_INDEX[drop_positions(drop_zigzag)]] = 0
     zeros = quantized == 0
     return SparsityReport(
         zero_fraction=float(zeros[:, 1:].mean()),

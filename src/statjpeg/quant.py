@@ -1,5 +1,7 @@
 """Quantization tables, coefficient quantization, and the zig-zag scan."""
 
+import operator
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -24,7 +26,10 @@ class QuantTable:
     """64 integer quantization steps in natural order, each in [1, 255].
 
     ``provenance`` records how the table was produced (free-form dict) so
-    persisted tables stay self-describing.
+    persisted tables stay self-describing.  Its ``drop_zigzag`` entry, when
+    present, lists the zig-zag positions that :func:`quantize` stores as zero
+    (the high-frequency removal baseline).  Tables parsed from a file carry
+    no drop set: DQT stores only the steps.
     """
 
     def __init__(self, values, provenance=None):
@@ -36,6 +41,15 @@ class QuantTable:
         self.values = arr.copy()
         self.values.setflags(write=False)
         self.provenance = dict(provenance) if provenance else {}
+        drop_zigzag = self.provenance.get("drop_zigzag", ())
+        try:
+            drop = sorted({operator.index(p) for p in drop_zigzag})
+        except TypeError:
+            raise InvalidInputError("drop_zigzag must list zig-zag positions") from None
+        if drop and (drop[0] < 0 or drop[-1] > 63):
+            raise InvalidInputError("drop positions must be zig-zag indices 0..63")
+        # natural-order indices of the dropped bands
+        self._drop = ZIGZAG_INDEX[drop]
 
     def grid(self):
         return self.values.reshape(8, 8)
@@ -43,7 +57,9 @@ class QuantTable:
     def __eq__(self, other):
         if not isinstance(other, QuantTable):
             return NotImplemented
-        return np.array_equal(self.values, other.values)
+        return np.array_equal(self.values, other.values) and np.array_equal(
+            self._drop, other._drop
+        )
 
     def __repr__(self):
         kind = self.provenance.get("kind", "custom")
@@ -69,7 +85,9 @@ def quantize(coeffs, table):
     # round half away from zero is trunc(x + copysign(0.5, x)), and the int32
     # cast is the truncation
     scaled += np.copysign(0.5, scaled)
-    return scaled.astype(np.int32)
+    quantized = scaled.astype(np.int32)
+    quantized.reshape(-1, 64)[:, table._drop] = 0
+    return quantized
 
 
 def dequantize(qblock, table):
@@ -91,11 +109,3 @@ def inverse_zigzag(scan):
     if scan.shape[-1] != 64:
         raise InvalidInputError(f"expected 64 entries, got {scan.shape[-1]}")
     return scan[..., ZIGZAG_POSITION]
-
-
-def drop_positions(drop_zigzag):
-    """The sorted zig-zag positions of a drop set, each checked to be 0..63."""
-    drop = sorted({int(p) for p in drop_zigzag})
-    if drop and (drop[0] < 0 or drop[-1] > 63):
-        raise InvalidInputError("drop positions must be zig-zag indices 0..63")
-    return drop

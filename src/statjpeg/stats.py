@@ -201,27 +201,33 @@ def save_stats(summary, path):
 def load_stats(path):
     with open(path) as fh:
         doc = json.load(fh)
-    version = doc.get("schema_version")
-    if version != STATS_SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"stats schema version {version!r} is not {STATS_SCHEMA_VERSION}"
+    try:
+        version = doc.get("schema_version")
+        if version != STATS_SCHEMA_VERSION:
+            raise SchemaVersionError(
+                f"stats schema version {version!r} is not {STATS_SCHEMA_VERSION}"
+            )
+        channels = {}
+        for channel, bands in doc["channels"].items():
+            if sorted(int(k) for k in bands) != list(range(N_BANDS)):
+                raise InvalidInputError(f"channel {channel!r} does not cover bands 0..63")
+            ordered = [bands[str(i)] for i in range(N_BANDS)]
+            counts = {int(b["count"]) for b in ordered}
+            if len(counts) != 1:
+                raise InvalidInputError(f"channel {channel!r} bands disagree on count")
+            channels[channel] = (
+                counts.pop(),
+                _frozen([float(b["mean"]) for b in ordered]),
+                _frozen([float(b["stddev"]) for b in ordered]),
+            )
+        return FrequencySummary(
+            channels, int(doc["total_blocks"]), doc.get("source_manifest_digest")
         )
-    channels = {}
-    for channel, bands in doc["channels"].items():
-        if sorted(int(k) for k in bands) != list(range(N_BANDS)):
-            raise InvalidInputError(f"channel {channel!r} does not cover bands 0..63")
-        ordered = [bands[str(i)] for i in range(N_BANDS)]
-        counts = {int(b["count"]) for b in ordered}
-        if len(counts) != 1:
-            raise InvalidInputError(f"channel {channel!r} bands disagree on count")
-        channels[channel] = (
-            counts.pop(),
-            _frozen([float(b["mean"]) for b in ordered]),
-            _frozen([float(b["stddev"]) for b in ordered]),
-        )
-    return FrequencySummary(
-        channels, int(doc["total_blocks"]), doc.get("source_manifest_digest")
-    )
+    except (AttributeError, KeyError, TypeError) as exc:
+        # a missing field, or a field of the wrong type
+        raise InvalidInputError(
+            f"malformed stats file {path}: {type(exc).__name__} {exc}"
+        ) from exc
 
 
 def save_delta_csv(summary, path):

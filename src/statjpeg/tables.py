@@ -159,20 +159,19 @@ def same_q_table(q):
 def rm_hf_table(base, n):
     """The high-frequency removal baseline over ``base``.
 
-    Returns (table, drop set): the n highest zig-zag positions whose
-    quantized coefficients the encoder must force to zero.  Table entries
-    copy ``base`` (a table cannot literally delete a component).
+    Table entries copy ``base`` (a table cannot literally delete a
+    component); the n highest zig-zag positions become the table's drop set,
+    whose quantized coefficients :func:`quant.quantize` stores as zero.
     """
     if not 0 <= n <= 63:
         raise InvalidInputError(f"component count must be in [0, 63], got {n}")
-    drop = frozenset(range(N_BANDS - n, N_BANDS))
     provenance = {
         "kind": "rm-hf",
         "n": int(n),
-        "drop_zigzag": sorted(drop),
+        "drop_zigzag": list(range(N_BANDS - n, N_BANDS)),
         "base": base.provenance or {"kind": "custom"},
     }
-    return QuantTable(base.values, provenance=provenance), drop
+    return QuantTable(base.values, provenance=provenance)
 
 
 def format_grid(table):
@@ -197,11 +196,17 @@ def save_table(table, path):
 def load_table(path):
     with open(path) as fh:
         doc = json.load(fh)
-    version = doc.get("schema_version")
-    if version != TABLE_SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"table schema version {version!r} is not {TABLE_SCHEMA_VERSION}"
-        )
-    if doc.get("order") != "natural":
-        raise InvalidInputError(f"unknown table order {doc.get('order')!r}")
-    return QuantTable(doc["entries"], provenance=doc.get("provenance"))
+    try:
+        version = doc.get("schema_version")
+        if version != TABLE_SCHEMA_VERSION:
+            raise SchemaVersionError(
+                f"table schema version {version!r} is not {TABLE_SCHEMA_VERSION}"
+            )
+        if doc.get("order") != "natural":
+            raise InvalidInputError(f"unknown table order {doc.get('order')!r}")
+        return QuantTable(doc["entries"], provenance=doc.get("provenance"))
+    except (AttributeError, KeyError, TypeError) as exc:
+        # a missing field, or a field of the wrong type
+        raise InvalidInputError(
+            f"malformed table file {path}: {type(exc).__name__} {exc}"
+        ) from exc

@@ -189,8 +189,8 @@ def test_criterion_7_compression_rate_ordering(bundled_manifest):
     plm = derive_plm_table(stats.finalize().deltas())
 
     ref_luma, ref_chroma = standard_table(100, "luma"), standard_table(100, "chroma")
-    rm_luma, drop = rm_hf_table(ref_luma, 3)
-    rm_chroma, _ = rm_hf_table(ref_chroma, 3)
+    rm_luma = rm_hf_table(ref_luma, 3)
+    rm_chroma = rm_hf_table(ref_chroma, 3)
     sq4 = same_q_table(4)
 
     totals = {"qf100": 0, "plm": 0, "same-q4": 0, "rm-hf3": 0}
@@ -199,9 +199,7 @@ def test_criterion_7_compression_rate_ordering(bundled_manifest):
         totals["qf100"] += len(encode_image(img, ref_luma, ref_chroma))
         totals["plm"] += len(encode_image(img, plm))
         totals["same-q4"] += len(encode_image(img, sq4))
-        totals["rm-hf3"] += len(
-            encode_image(img, rm_luma, rm_chroma, drop_zigzag=drop)
-        )
+        totals["rm-hf3"] += len(encode_image(img, rm_luma, rm_chroma))
     cr = {k: totals["qf100"] / v for k, v in totals.items()}
     elapsed = time.time() - start
 
@@ -228,8 +226,8 @@ def test_criterion_8_psnr_report_per_source(bundled_manifest):
     for path in paths:
         stats.accumulate_image(load_image(path))
     plm = derive_plm_table(stats.finalize().deltas())
-    rm_luma, drop = rm_hf_table(standard_table(100, "luma"), 3)
-    rm_chroma, _ = rm_hf_table(standard_table(100, "chroma"), 3)
+    rm_luma = rm_hf_table(standard_table(100, "luma"), 3)
+    rm_chroma = rm_hf_table(standard_table(100, "chroma"), 3)
 
     sources = {
         "standard-qf:100": lambda img: encode_image(
@@ -240,9 +238,7 @@ def test_criterion_8_psnr_report_per_source(bundled_manifest):
         ),
         "plm": lambda img: encode_image(img, plm),
         "same-q:4": lambda img: encode_image(img, same_q_table(4)),
-        "rm-hf:3": lambda img: encode_image(
-            img, rm_luma, rm_chroma, drop_zigzag=drop
-        ),
+        "rm-hf:3": lambda img: encode_image(img, rm_luma, rm_chroma),
     }
     report = {}
     for label, encode in sources.items():
@@ -271,7 +267,7 @@ def test_criterion_9_file_format_conformance():
         encode_image(gray, standard_table(50)),
         encode_image(color, standard_table(75, "luma"), standard_table(75, "chroma")),
         encode_image(color, same_q_table(4)),
-        encode_image(color, ONES, ONES, drop_zigzag={61, 62, 63}),
+        encode_image(color, rm_hf_table(ONES, 3), rm_hf_table(ONES, 3)),
         encode_image(synth_image("stripes", rng, 40, 40), derive_plm_table(
             np.linspace(90, 0, 64)
         )),

@@ -23,8 +23,8 @@ from statjpeg.tables import rm_hf_table, standard_table
 
 LUMA = standard_table(75, "luma")
 CHROMA = standard_table(75, "chroma")
-RM_LUMA, DROP = rm_hf_table(standard_table(90, "luma"), 10)
-RM_CHROMA, _ = rm_hf_table(standard_table(90, "chroma"), 10)
+RM_LUMA = rm_hf_table(standard_table(90, "luma"), 10)
+RM_CHROMA = rm_hf_table(standard_table(90, "chroma"), 10)
 
 
 def image(kind, height, width, color):
@@ -37,7 +37,7 @@ CASES = {
     "gray-chroma-passed": (image("blobs", 40, 48, False), (LUMA, CHROMA), {}),
     "rgb-single-table": (image("stripes", 40, 48, True), (LUMA,), {}),
     "rgb-two-tables": (image("stripes", 40, 48, True), (LUMA, CHROMA), {}),
-    "rgb-drop": (image("speckle", 40, 48, True), (RM_LUMA, RM_CHROMA), {"drop_zigzag": DROP}),
+    "rgb-drop": (image("speckle", 40, 48, True), (RM_LUMA, RM_CHROMA), {}),
     "rgb-odd-17x9": (image("gradients", 9, 17, True), (LUMA, CHROMA), {}),
     "gray-odd-17x9": (image("gradients", 9, 17, False), (LUMA,), {}),
 }

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import corrupt_png
-from statjpeg.cli import main, resolve_table_source, split_source_list
+from statjpeg.cli import main
 from statjpeg.imgfile import load_image, save_ppm
-from statjpeg.jpeg import decode_coefficients
+from statjpeg.jpeg import decode_coefficients, encode_image
 from statjpeg.quant import zigzag
 from statjpeg.stats import load_stats
 from statjpeg.synth import generate_corpus, synth_image
-from statjpeg.tables import load_table, same_q_table
+from statjpeg.tables import load_table, rm_hf_table, same_q_table, save_table
 
 
 @pytest.fixture
@@ -97,6 +97,14 @@ class TestDesignTable:
         assert table.values[2] == 40
         assert table.values[3] == 5
 
+    def test_stats_band_without_mean_exits_two(self, stats_file, tmp_path, capsys):
+        doc = json.loads(stats_file.read_text())
+        del doc["channels"]["y"]["3"]["mean"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["design-table", str(bad), "--out", str(tmp_path / "t.json")]) == 2
+        assert "error: malformed stats file" in capsys.readouterr().err
+
     def test_missing_stats_file_exits_two(self, tmp_path):
         assert main(["design-table", str(tmp_path / "no.json"), "--out", "t.json"]) == 2
 
@@ -125,8 +133,6 @@ class TestCompressDecompress:
         )
 
     def test_same_q_spec_equals_table_file(self, sample_ppm, tmp_path):
-        from statjpeg.tables import save_table
-
         table_path = tmp_path / "fours.json"
         save_table(same_q_table(4), table_path)
         a = tmp_path / "a.jpg"
@@ -137,11 +143,44 @@ class TestCompressDecompress:
 
     def test_rm_hf_spec_zeroes_top_zigzag(self, sample_ppm, tmp_path):
         jpg = tmp_path / "rm.jpg"
-        assert main(["compress", str(sample_ppm), "--table", "rm-hf:3,qf:100",
+        assert main(["compress", str(sample_ppm), "--table", "rm-hf:3",
                      "--out", str(jpg)]) == 0
         blocks, _ = decode_coefficients(jpg.read_bytes())
         for comp in blocks:
             assert np.all(zigzag(comp)[:, 61:] == 0)
+
+    def test_rm_hf_takes_no_options(self, sample_ppm, tmp_path, capsys):
+        code = main(["compress", str(sample_ppm), "--table", "rm-hf:3,qf:80",
+                     "--out", str(tmp_path / "x.jpg")])
+        assert code == 2
+        assert "bad table source" in capsys.readouterr().err
+
+    def test_table_file_with_drop_set(self, sample_ppm, tmp_path):
+        table = rm_hf_table(same_q_table(4), 3)
+        table_path = tmp_path / "rm.json"
+        save_table(table, table_path)
+        jpg = tmp_path / "rm.jpg"
+        assert main(["compress", str(sample_ppm), "--table", f"file:{table_path}",
+                     "--out", str(jpg)]) == 0
+        assert jpg.read_bytes() == encode_image(load_image(sample_ppm), table)
+        blocks, _ = decode_coefficients(jpg.read_bytes())
+        for comp in blocks:
+            assert np.all(zigzag(comp)[:, 61:] == 0)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("entries"),
+        lambda doc: doc["provenance"].update(drop_zigzag=5),
+    ], ids=["no-entries", "drop-not-a-list"])
+    def test_malformed_table_file_exits_two(self, sample_ppm, tmp_path, capsys, edit):
+        table_path = tmp_path / "table.json"
+        save_table(rm_hf_table(same_q_table(4), 3), table_path)
+        doc = json.loads(table_path.read_text())
+        edit(doc)
+        table_path.write_text(json.dumps(doc))
+        code = main(["compress", str(sample_ppm), "--table", f"file:{table_path}",
+                     "--out", str(tmp_path / "x.jpg")])
+        assert code == 2
+        assert "error: bad table source" in capsys.readouterr().err
 
     def test_plm_source(self, sample_ppm, stats_file, tmp_path):
         jpg = tmp_path / "plm.jpg"
@@ -209,13 +248,3 @@ class TestBenchmark:
         ])
         assert code == 2
 
-
-def test_split_source_list_keeps_rm_hf_options_together():
-    parts = split_source_list("plm:s.json,rm-hf:3,qf:80,same-q:4")
-    assert parts == ["plm:s.json", "rm-hf:3,qf:80", "same-q:4"]
-
-
-def test_resolve_rm_hf_base_quality():
-    source = resolve_table_source("rm-hf:2,qf:50")
-    assert source.drop == frozenset({62, 63})
-    assert source.luma.values[0] == 16  # Annex-K luma DC step at QF 50

@@ -85,3 +85,22 @@ def test_quant_table_validation():
     table = QuantTable(np.ones(64), provenance={"kind": "test"})
     assert table == table_of(1)
     assert table.grid().shape == (8, 8)
+
+
+@pytest.mark.parametrize(
+    "drop", [[-1], [64], [3, 64], 5, ["61"], [61.0]],
+    ids=["minus-1", "64", "3-and-64", "not-a-list", "string", "float"],
+)
+def test_quant_table_rejects_bad_drop_set(drop):
+    with pytest.raises(InvalidInputError):
+        QuantTable(np.ones(64), provenance={"drop_zigzag": drop})
+
+
+def test_quantize_stores_the_drop_set_as_zero(rng):
+    coeffs = rng.uniform(100, 1000, size=(3, 8, 8))
+    dropped = QuantTable(np.ones(64), provenance={"drop_zigzag": [0, 5, 63]})
+    want = zigzag(quantize(coeffs, table_of(1)).reshape(-1, 64))
+    want[:, [0, 5, 63]] = 0
+    got = zigzag(quantize(coeffs, dropped).reshape(-1, 64))
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(zigzag(quantize(coeffs[0], dropped).reshape(64)), want[0])

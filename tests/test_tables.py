@@ -176,22 +176,27 @@ class TestBaselines:
 
     def test_rm_hf_drop_set(self):
         base = standard_table(100)
-        table, drop = rm_hf_table(base, 3)
-        assert drop == frozenset({61, 62, 63})
+        table = rm_hf_table(base, 3)
+        assert table.provenance["drop_zigzag"] == [61, 62, 63]
         np.testing.assert_array_equal(table.values, base.values)
-        _, none_dropped = rm_hf_table(base, 0)
-        assert none_dropped == frozenset()
-        _, all_but_dc = rm_hf_table(base, 63)
-        assert all_but_dc == frozenset(range(1, 64))
+        assert rm_hf_table(base, 0).provenance["drop_zigzag"] == []
+        assert rm_hf_table(base, 63).provenance["drop_zigzag"] == list(range(1, 64))
         with pytest.raises(InvalidInputError):
             rm_hf_table(base, 64)
 
     def test_rm_hf_drop_set_is_highest_zigzag(self):
-        _, drop = rm_hf_table(standard_table(100), 5)
+        drop = rm_hf_table(standard_table(100), 5).provenance["drop_zigzag"]
         assert len(drop) == 5
         natural = [int(ZIGZAG_INDEX[p]) for p in drop]
         # the dropped natural bands sit in the bottom-right corner
         assert all(ZIGZAG_POSITION[b] >= 59 for b in natural)
+
+    def test_rm_hf_table_differs_from_its_base(self):
+        base = standard_table(100)
+        assert rm_hf_table(base, 3) != base
+        assert rm_hf_table(base, 3) != rm_hf_table(base, 4)
+        assert rm_hf_table(base, 3) == rm_hf_table(base, 3)
+        assert rm_hf_table(base, 0) == base
 
 
 class TestPersistence:
@@ -202,6 +207,15 @@ class TestPersistence:
         loaded = load_table(path)
         assert loaded == table
         assert loaded.provenance["kind"] == "plm"
+
+    def test_json_round_trip_keeps_the_drop_set(self, tmp_path):
+        table = rm_hf_table(same_q_table(4), 3)
+        path = tmp_path / "table.json"
+        save_table(table, path)
+        loaded = load_table(path)
+        assert loaded == table
+        assert loaded != same_q_table(4)
+        assert loaded.provenance["drop_zigzag"] == [61, 62, 63]
 
     def test_grid_format(self):
         table = same_q_table(7)
