@@ -55,30 +55,23 @@ class TableSource:
     chroma: QuantTable = None
 
 
-def _plm_params(args):
-    return PlmParams(
-        a=args.a, b=args.b, c=args.c,
-        k1=args.k1, k2=args.k2, k3=args.k3,
-        t1=args.t1, t2=args.t2, q_min=args.qmin,
-    )
-
-
-def resolve_table_source(spec, params=None):
+def resolve_table_source(spec):
     """Parse a --table source spec into tables.
 
     Grammar: plm:<stats.json> | standard-qf:<1..100> | same-q:<1..255> |
-    rm-hf:<n> | file:<table.json>
+    rm-hf:<n> | file:<table.json>.  ``plm:`` uses the default mapping
+    constants; a table designed with other constants goes through
+    ``design-table`` and ``file:``.
     """
-    params = params or PlmParams()
     kind, _, rest = spec.partition(":")
     try:
         if kind == "plm":
             if not rest:
                 raise InvalidInputError("plm source needs a stats file: plm:<stats.json>")
             summary = load_stats(rest)
-            luma = derive_plm_table(summary.deltas("y"), params)
+            luma = derive_plm_table(summary.deltas("y"))
             chroma = (
-                derive_plm_table(summary.deltas("chroma"), params)
+                derive_plm_table(summary.deltas("chroma"))
                 if "chroma" in summary.channels
                 else None
             )
@@ -128,7 +121,11 @@ def cmd_analyze(args):
 def cmd_design_table(args):
     summary = load_stats(args.stats)
     deltas = summary.deltas(args.channel)
-    params = _plm_params(args)
+    params = PlmParams(
+        a=args.a, b=args.b, c=args.c,
+        k1=args.k1, k2=args.k2, k3=args.k3,
+        t1=args.t1, t2=args.t2, q_min=args.qmin,
+    )
     if args.auto_thresholds:
         t1, t2 = auto_thresholds(deltas)
         params = replace(params, t1=t1, t2=t2)
@@ -141,7 +138,7 @@ def cmd_design_table(args):
 
 def cmd_compress(args):
     img = load_image(args.input)
-    source = resolve_table_source(args.table, _plm_params(args))
+    source = resolve_table_source(args.table)
     data = encode_image(img, source.luma, source.chroma)
     Path(args.out).write_bytes(data)
     print(f"{args.out}: {len(data)} bytes ({source.label})")
@@ -207,8 +204,7 @@ def run_benchmark(manifest, sources):
 
 def cmd_benchmark(args):
     manifest = scan_corpus(args.corpus_dir)
-    params = _plm_params(args)
-    sources = [resolve_table_source(s, params) for s in args.table]
+    sources = [resolve_table_source(s) for s in args.table]
     rows, aggregates = run_benchmark(manifest, sources)
 
     if args.csv:
@@ -317,7 +313,6 @@ def build_parser():
     p.add_argument("input", help="PPM/PGM/PNG/JPEG input image")
     p.add_argument("--table", required=True, help="table source spec")
     p.add_argument("--out", required=True, help="output JPEG path")
-    _add_plm_flags(p)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("decompress", help="decode a baseline JPEG to PPM")
@@ -339,7 +334,6 @@ def build_parser():
         "--assert-cr-order",
         help="comma list of sources whose aggregate CR must strictly decrease",
     )
-    _add_plm_flags(p)
     p.set_defaults(func=cmd_benchmark)
     return parser
 

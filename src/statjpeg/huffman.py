@@ -440,6 +440,10 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
         )
 
     def corrupt(message, consumed):
+        # Reads are not checked against the scan's end (see below), so any
+        # failure after it is reported as the truncation that led to it.
+        if consumed > total:
+            message = "truncated scan data"
         unstuffed = min(consumed // 8, len(buf))
         offset = base_offset + unstuffed + bisect_right(stuff_positions, unstuffed)
         return CorruptStreamError(message, offset=offset)
@@ -455,33 +459,30 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
         for c, (dc, ac) in enumerate(zip(dc_tables, ac_tables))
     ]
     preds = [0] * n_comp
-    # The accumulator is refilled 32 bits at a time.  Reads past the end see
-    # 0xFF padding (never consumable), as a peek over a short tail must.
+    # The accumulator is refilled 32 bits at a time, and reads run on past
+    # the scan's end into 0xFF padding unchecked.  No table assigns the
+    # all-ones code, so a lookup that starts past the end finds no code, and
+    # only one symbol (up to 16 code and 15 magnitude bits) and one 16-bit
+    # peek reach past the end; the 13 to 16 padding bytes cover both, with
+    # a whole 32-bit refill.  A symbol that ends the final block past the
+    # end is caught after the loop.
     padded = buf + b"\xff" * (16 - len(buf) % 4)
     words = memoryview(np.frombuffer(padded, dtype=">u4").astype(np.uint32))
-    acc = n = i = 0
-    lim = -total  # bits consumed = 32 * i - n; more than ``total`` iff n < lim
+    acc = n = i = 0  # bits consumed = 32 * i - n
     for base in range(0, 64 * n_mcus, 64):
         for c, dc_lut, ac_lut, coef in comps:
             if n < 32:
                 acc = ((acc & ((1 << n) - 1)) << 32) | words[i]
                 i += 1
                 n += 32
-                lim += 32
             ln, size, value = dc_lut[(acc >> (n - 16)) & 0xFFFF]
             if ln > 0:
                 n -= ln
-                if n < lim:
-                    raise corrupt("truncated scan data", 32 * i - n)
             elif ln:
                 n += ln
-                if n < lim:
-                    raise corrupt("truncated scan data", 32 * i - n)
                 if size > 11:
                     raise corrupt(f"invalid DC magnitude category {size}", 32 * i - n)
                 n -= size
-                if n < lim:
-                    raise corrupt("truncated scan data", 32 * i - n)
                 raw = (acc >> n) & ((1 << size) - 1)
                 value = raw if raw >> (size - 1) else raw - (1 << size) + 1
             else:
@@ -497,7 +498,6 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
                     acc = ((acc & ((1 << n) - 1)) << 32) | words[i]
                     i += 1
                     n += 32
-                    lim += 32
                 ln, run, value = ac_lut[(acc >> (n - 16)) & 0xFFFF]
                 if ln > 0:
                     k += run
@@ -505,18 +505,12 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
                         # Report what a code-then-magnitude read would: the
                         # code is ``ln`` minus the magnitude bits.
                         consumed = 32 * i - n + ln - abs(value).bit_length()
-                        if consumed > total:
-                            raise corrupt("truncated scan data", consumed)
                         raise corrupt("coefficient run past end of block", consumed)
                     n -= ln
-                    if n < lim:
-                        raise corrupt("truncated scan data", 32 * i - n)
                     coef[k] = value
                     k += 1
                 elif ln:
                     n += ln
-                    if n < lim:
-                        raise corrupt("truncated scan data", 32 * i - n)
                     size = run & 0x0F
                     if size:
                         k += run >> 4
@@ -525,8 +519,6 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
                                 "coefficient run past end of block", 32 * i - n
                             )
                         n -= size
-                        if n < lim:
-                            raise corrupt("truncated scan data", 32 * i - n)
                         raw = (acc >> n) & ((1 << size) - 1)
                         coef[k] = (
                             raw if raw >> (size - 1) else raw - (1 << size) + 1
@@ -544,6 +536,8 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
                     raise corrupt("invalid Huffman prefix", 32 * i - n)
 
     consumed = 32 * i - n
+    if consumed > total:
+        raise corrupt("truncated scan data", consumed)
     if total - consumed >= 8:
         raise corrupt("trailing data after final block", consumed)
     return [coef.reshape(n_mcus, 64) for coef in out]

@@ -161,6 +161,10 @@ class FrequencySummary:
 
     def deltas(self, channel="y"):
         """The 64 per-band standard deviations in natural order."""
+        if channel not in self.channels:
+            raise InvalidInputError(
+                f"stats have no channel {channel!r} (channels: {', '.join(self.channels)})"
+            )
         return self.channels[channel][2]
 
     def __eq__(self, other):

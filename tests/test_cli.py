@@ -105,6 +105,13 @@ class TestDesignTable:
         assert main(["design-table", str(bad), "--out", str(tmp_path / "t.json")]) == 2
         assert "error: malformed stats file" in capsys.readouterr().err
 
+    def test_channel_not_in_stats_exits_two(self, stats_file, tmp_path, capsys):
+        # luma-only stats hold no chroma channel
+        code = main(["design-table", str(stats_file), "--channel", "chroma",
+                     "--out", str(tmp_path / "t.json")])
+        assert code == 2
+        assert "error: stats have no channel 'chroma' (channels: y)" in capsys.readouterr().err
+
     def test_missing_stats_file_exits_two(self, tmp_path):
         assert main(["design-table", str(tmp_path / "no.json"), "--out", "t.json"]) == 2
 
@@ -187,6 +194,18 @@ class TestCompressDecompress:
         assert main(["compress", str(sample_ppm),
                      "--table", f"plm:{stats_file}", "--out", str(jpg)]) == 0
         assert jpg.read_bytes()[:2] == b"\xff\xd8"
+
+    def test_plm_source_without_luma_stats_exits_two(
+        self, sample_ppm, stats_file, tmp_path, capsys
+    ):
+        doc = json.loads(stats_file.read_text())
+        doc["channels"] = {"chroma": doc["channels"]["y"]}
+        chroma_only = tmp_path / "chroma.json"
+        chroma_only.write_text(json.dumps(doc))
+        code = main(["compress", str(sample_ppm), "--table", f"plm:{chroma_only}",
+                     "--out", str(tmp_path / "x.jpg")])
+        assert code == 2
+        assert "error: bad table source" in capsys.readouterr().err
 
     def test_unknown_source_exits_two(self, sample_ppm, tmp_path, capsys):
         code = main(["compress", str(sample_ppm), "--table", "wavelet:3",

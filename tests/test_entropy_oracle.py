@@ -237,3 +237,105 @@ def test_zero_run_may_end_exactly_at_block_end():
     expected[0, 1:16] = 1
     for decode in (oracle.entropy_decode, entropy_decode):
         np.testing.assert_array_equal(decode(data, 1, [DC_LUMA], [AC_LUMA])[0], expected)
+
+
+# Run 0 / size 15 (0x0F) has the 16-bit code 1100000000000000: the longest
+# code with the most magnitude bits, so the farthest one read can reach past
+# the scan's end.  0x01 is "0" and EOB is "10".
+WIDE_AC = HuffmanTable([1, 1] + [0] * 13 + [1], [0x01, 0x00, 0x0F])
+
+
+def cut_in_wide_magnitude(residue, ends_block):
+    """A scan cut inside the magnitude bits of WIDE_AC's 0x0F, and its MCUs.
+
+    Empty blocks (DC category 0, EOB) go first and shift the cut, so that
+    the scan is ``residue`` bytes past a multiple of 4.  With ``ends_block``
+    the 0x0F sits at zig-zag 63 after 62 coefficients of +1, so that its
+    read ends the final block.
+    """
+    for empty in range(8):
+        head = "0010" * empty + "00" + ("01" * 62 if ends_block else "")
+        cut = (len(head) + 16) // 8 + 1  # keeps 1 to 8 of the 15 magnitude bits
+        if cut % 4 == residue:
+            bits = head + "1100000000000000" + "101010101010101"
+            return bits_to_bytes(bits[:8 * cut]), empty + 1
+    raise AssertionError("no layout gives this residue")
+
+
+@pytest.mark.parametrize("ends_block", [False, True])
+@pytest.mark.parametrize("residue", [0, 1, 2, 3])
+def test_cut_inside_16_bit_code_magnitude_matches_oracle(residue, ends_block):
+    data, n_mcus = cut_in_wide_magnitude(residue, ends_block)
+    assert len(data) % 4 == residue and b"\xff" not in data
+    for decode in (oracle.entropy_decode, entropy_decode):
+        with pytest.raises(CorruptStreamError, match="truncated") as err:
+            decode(data, n_mcus, [DC_LUMA], [WIDE_AC])
+        assert err.value.offset == len(data)
+    check_decode(data, n_mcus, ([DC_LUMA], [WIDE_AC]), 0)
+
+
+# One code of each length 1..16: every prefix but the 16-bit all-ones one is
+# a code (Kraft sum 1 - 2**-16), so a lookup over the 0xFF padding after a
+# real bit or two can still find a long code.  DC category 11 and AC 0x0F
+# get the 16-bit code 1111111111111110; DC 12..15 and AC 0x50 are invalid.
+FULL_DC = HuffmanTable([1] * 16, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 11])
+FULL_AC = HuffmanTable(
+    [1] * 16,
+    [0x00, 0x01, 0x11, 0x02, 0xF0, 0x21, 0x03, 0x31,
+     0x0A, 0x41, 0x50, 0x05, 0xE1, 0x1F, 0xF1, 0x0F],
+)
+FULL_TABLES = ([FULL_DC], [FULL_AC])
+
+
+def full_table_scan():
+    """Two MCUs that use the 16-bit codes, with 0xFF stuffing where due."""
+    dc_codes = oracle._build_tables(FULL_DC.bits, FULL_DC.values)[0]
+    ac_codes = oracle._build_tables(FULL_AC.bits, FULL_AC.values)[0]
+
+    def code(codes, symbol, magnitude=""):
+        value, length = codes[symbol]
+        return format(value, f"0{length}b") + magnitude
+
+    block = (
+        code(dc_codes, 11, "10000000001")
+        + code(ac_codes, 0x0F, "011111111111111")
+        + code(ac_codes, 0x1F, "100000000000000")
+        + code(ac_codes, 0xF0)
+        + code(ac_codes, 0xE1, "1")
+        + code(ac_codes, 0x00)
+    )
+    bits = block + code(dc_codes, 0) + code(ac_codes, 0x0A, "0000000001") + code(ac_codes, 0x00)
+    bits += "1" * (-len(bits) % 8)
+    return bits_to_bytes(bits).replace(b"\xff", b"\xff\x00")
+
+
+def test_full_code_space_scan_decodes():
+    data = full_table_scan()
+    assert b"\xff\x00" in data
+    got = entropy_decode(data, 2, *FULL_TABLES)[0]
+    assert same_decode([got], oracle.entropy_decode(data, 2, *FULL_TABLES))
+    assert got[0, 0] == 1025 and got[0, 1] == -16384 and got[0, 3] == 16384
+
+
+@pytest.mark.parametrize(
+    "tail", [b"", b"\xff\x00", b"\xfe", b"\x7f", b"\xff\x00\xfe", b"\x00", b"\xfd\xff\x00"]
+)
+def test_full_code_space_truncated_and_garbage_tails_match_oracle(tail):
+    # Every cut of the scan, with the tail after it: the tails are bits the
+    # long all-ones-like codes can absorb, or a stray 0 bit.
+    data = full_table_scan()
+    for cut in range(len(data) + 1):
+        for n_mcus in (1, 2, 3):
+            check_decode(data[:cut] + tail, n_mcus, FULL_TABLES, 613)
+
+
+@settings(max_examples=100)
+@given(
+    data=st.lists(
+        st.sampled_from([b"\xff\x00", b"\xfe", b"\x7f", b"\xfd", b"\xbf", b"\x00", b"\x80"]),
+        max_size=24,
+    ).map(b"".join),
+    n_mcus=st.integers(0, 4),
+)
+def test_full_code_space_ones_heavy_bytes_match_oracle(data, n_mcus):
+    check_decode(data, n_mcus, FULL_TABLES, 0)
