@@ -13,11 +13,14 @@ are ORed into big-endian 64-bit output words at their cumulative bit
 positions, and 0xFF stuffing is one ``bytes.replace`` over the finished
 scan.
 
-Decoding is one loop over a bit accumulator with one 16-bit table lookup
-per symbol.  When a code and its magnitude bits fit in 16 bits together,
-the entry already holds the bits to consume, the zero run and the
+Decoding reads the scan through a window: ``win[p]`` holds the 16 scan
+bits that start at bit ``p``, built with numpy for a bounded span of scan
+bytes at a time.  A symbol is then one 16-bit table lookup, ``lut[win[p]]``,
+and one ``p += consume``, with no bit accumulator to refill.  When a code
+and its magnitude bits fit in 16 bits together, the entry already holds
+the bits to consume, the step to the coefficient's index and the
 sign-extended value; otherwise it holds the code length and the symbol,
-and the magnitude bits are read next.
+and the magnitude bits are read from the window next.
 """
 
 import functools
@@ -98,6 +101,15 @@ _LUT_BITS = 16
 # encoder's working memory for any image size.
 _CHUNK_MCUS = 1024
 
+# Scan bytes the decoder builds its 16-bit window for at a time.  The window
+# takes 16 bytes per scan byte, so this bounds it at about 1 MB for any scan.
+_WINDOW_BYTES = 1 << 16
+
+# Bits one block can read, for any byte string: a DC code and its magnitude
+# (16 + 11 bits), then at most 63 AC reads of a code and its magnitude
+# (16 + 15 bits each).  That is 1,980 bits, and one 16-bit peek follows.
+_BLOCK_BITS = 2048
+
 _INVALID = (0, 0, 0)  # decode-table entry for a prefix no code starts with
 
 
@@ -159,22 +171,24 @@ def _extend(raw, size):
 
 @functools.lru_cache(maxsize=32)
 def _decode_lut(bits, values, dc):
-    """16-bit prefix lookup table of ``(consume, run, value)`` entries.
+    """16-bit prefix lookup table of ``(consume, advance, value)`` entries.
 
     ``consume > 0``: the next ``consume`` bits are a code and its magnitude
-    bits; the coefficient (for DC, the difference) is ``value`` after
-    ``run`` zeros.  ``consume < 0``: the code is ``-consume`` bits long and
-    ``run`` holds its symbol; magnitude bits, if any, follow.  ``consume ==
-    0``: no code has this prefix.  Equal entries share one tuple.
+    bits, and the coefficient (for DC, the difference) is ``value``.  An AC
+    coefficient sits ``advance`` (its zero run + 1) places after the one
+    before it; for DC, ``advance`` is 0.  ``consume < 0``: the code is
+    ``-consume`` bits long and ``advance`` holds its symbol; magnitude bits,
+    if any, follow.  ``consume == 0``: no code has this prefix.  Equal
+    entries share one tuple.
     """
     lut = [_INVALID] * (1 << _LUT_BITS)
     for symbol, code, length in _canonical_codes(bits, values):
         start = code << (_LUT_BITS - length)
         if dc:
-            run, size = 0, symbol
+            advance, size = 0, symbol
             fast = symbol <= 11
         else:
-            run, size = symbol >> 4, symbol & 0x0F
+            advance, size = (symbol >> 4) + 1, symbol & 0x0F
             fast = size > 0
         spare = _LUT_BITS - length - size
         if fast and spare >= 0:
@@ -182,7 +196,7 @@ def _decode_lut(bits, values, dc):
             for raw in range(1 << size):
                 value = _extend(raw, size) if size else 0
                 lo = start + raw * step
-                lut[lo:lo + step] = [(length + size, run, value)] * step
+                lut[lo:lo + step] = [(length + size, advance, value)] * step
         else:
             span = 1 << (_LUT_BITS - length)
             lut[start:start + span] = [(-length, symbol, 0)] * span
@@ -418,13 +432,29 @@ def entropy_encode(component_blocks, dc_tables, ac_tables):
     return b"".join(parts).replace(b"\xff", b"\xff\x00")
 
 
+def _window(padded, first, stop):
+    """``win[i]``: the 16 bits of ``padded`` that start at bit ``8 * first + i``.
+
+    Covers ``i < 8 * (stop - first)``; ``padded`` must hold ``stop + 3``
+    bytes.  One unaligned big-endian 32-bit view at byte stride gives every
+    byte's next four bytes, and each of the 8 bit offsets is one shift.
+    """
+    n = stop - first
+    words = np.ndarray((n,), dtype=">u4", buffer=padded, offset=first, strides=(1,))
+    win = np.empty((n, 8), dtype=np.uint16)
+    for bit in range(8):
+        np.right_shift(words, 16 - bit, out=win[:, bit], casting="unsafe")
+    return memoryview(win.reshape(-1))
+
+
 def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
     """Exact inverse of :func:`entropy_encode`.
 
     Returns one (n_mcus, 64) int32 zig-zag array per component.  Raises
     :class:`CorruptStreamError` (with a byte offset) for invalid prefixes,
-    out-of-range symbols or runs, truncation, trailing data, bare markers
-    inside the scan, and a scan too short for the declared block count.
+    out-of-range symbols or runs, a DC value outside int32, truncation,
+    trailing data, bare markers inside the scan, and a scan too short for
+    the declared block count.
     """
     n_comp = len(dc_tables)
     if len(ac_tables) != n_comp:
@@ -459,83 +489,87 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
         for c, (dc, ac) in enumerate(zip(dc_tables, ac_tables))
     ]
     preds = [0] * n_comp
-    # The accumulator is refilled 32 bits at a time, and reads run on past
-    # the scan's end into 0xFF padding unchecked.  No table assigns the
-    # all-ones code, so a lookup that starts past the end finds no code, and
-    # only one symbol (up to 16 code and 15 magnitude bits) and one 16-bit
-    # peek reach past the end; the 13 to 16 padding bytes cover both, with
-    # a whole 32-bit refill.  A symbol that ends the final block past the
-    # end is caught after the loop.
-    padded = buf + b"\xff" * (16 - len(buf) % 4)
-    words = memoryview(np.frombuffer(padded, dtype=">u4").astype(np.uint32))
-    acc = n = i = 0  # bits consumed = 32 * i - n
+    # Symbols are read from ``win``, the window of the scan from bit
+    # ``origin`` on, and reads are not checked against the scan's end.  An
+    # MCU that starts at ``p <= limit`` reads at most ``margin`` bits (see
+    # _BLOCK_BITS), so the window covers ``limit + margin`` bits and is
+    # rebuilt at the first MCU that starts past ``limit``.  Past the scan's
+    # end it reads 0xFF padding.  No table assigns the all-ones code, so a
+    # lookup that starts past the end finds no code: only one symbol (up to
+    # 16 code and 15 magnitude bits) and one peek reach past the end, and a
+    # window starts at most 4 bytes after it.  A symbol that ends the final
+    # block past the end is caught after the loop.
+    margin = _BLOCK_BITS * n_comp
+    reach = margin // 8 + 2  # window bytes past ``limit``, with the last peek
+    padded = buf + b"\xff" * (reach + 8)
+    origin = p = 0  # bits consumed = origin + p
+    limit = -1
     for base in range(0, 64 * n_mcus, 64):
+        if p > limit:
+            first = (origin >> 3) + (p >> 3)
+            origin, p = 8 * first, p & 7
+            last = max(first, min(first + _WINDOW_BYTES, len(buf)))
+            win = _window(padded, first, last + reach)
+            limit = 8 * (last - first)
         for c, dc_lut, ac_lut, coef in comps:
-            if n < 32:
-                acc = ((acc & ((1 << n) - 1)) << 32) | words[i]
-                i += 1
-                n += 32
-            ln, size, value = dc_lut[(acc >> (n - 16)) & 0xFFFF]
+            ln, size, value = dc_lut[win[p]]
             if ln > 0:
-                n -= ln
+                p += ln
             elif ln:
-                n += ln
+                p -= ln
                 if size > 11:
-                    raise corrupt(f"invalid DC magnitude category {size}", 32 * i - n)
-                n -= size
-                raw = (acc >> n) & ((1 << size) - 1)
+                    raise corrupt(f"invalid DC magnitude category {size}", origin + p)
+                raw = win[p] >> (16 - size)
+                p += size
                 value = raw if raw >> (size - 1) else raw - (1 << size) + 1
             else:
-                raise corrupt("invalid Huffman prefix", 32 * i - n)
+                raise corrupt("invalid Huffman prefix", origin + p)
             value += preds[c]
             preds[c] = value
-            coef[base] = value
+            try:
+                coef[base] = value
+            except ValueError:  # the int32 store; differences are unbounded
+                raise corrupt(
+                    f"DC value {value} outside the int32 range", origin + p
+                ) from None
 
-            k = base + 1
+            k = base  # index of the last coefficient stored
             end = base + 63
-            while k <= end:
-                if n < 32:
-                    acc = ((acc & ((1 << n) - 1)) << 32) | words[i]
-                    i += 1
-                    n += 32
-                ln, run, value = ac_lut[(acc >> (n - 16)) & 0xFFFF]
+            while k < end:
+                ln, advance, value = ac_lut[win[p]]
                 if ln > 0:
-                    k += run
+                    k += advance
                     if k > end:
                         # Report what a code-then-magnitude read would: the
                         # code is ``ln`` minus the magnitude bits.
-                        consumed = 32 * i - n + ln - abs(value).bit_length()
+                        consumed = origin + p + ln - abs(value).bit_length()
                         raise corrupt("coefficient run past end of block", consumed)
-                    n -= ln
+                    p += ln
                     coef[k] = value
-                    k += 1
                 elif ln:
-                    n += ln
-                    size = run & 0x0F
+                    p -= ln
+                    size = advance & 0x0F
                     if size:
-                        k += run >> 4
+                        k += (advance >> 4) + 1
                         if k > end:
                             raise corrupt(
-                                "coefficient run past end of block", 32 * i - n
+                                "coefficient run past end of block", origin + p
                             )
-                        n -= size
-                        raw = (acc >> n) & ((1 << size) - 1)
-                        coef[k] = (
-                            raw if raw >> (size - 1) else raw - (1 << size) + 1
-                        )
-                        k += 1
-                    elif run == 0xF0:  # ZRL
+                        raw = win[p] >> (16 - size)
+                        p += size
+                        coef[k] = raw if raw >> (size - 1) else raw - (1 << size) + 1
+                    elif advance == 0xF0:  # ZRL
                         k += 16
-                        if k > end + 1:
-                            raise corrupt("zero run past end of block", 32 * i - n)
-                    elif run:
-                        raise corrupt(f"invalid AC symbol 0x{run:02X}", 32 * i - n)
+                        if k > end:
+                            raise corrupt("zero run past end of block", origin + p)
+                    elif advance:
+                        raise corrupt(f"invalid AC symbol 0x{advance:02X}", origin + p)
                     else:  # EOB
                         break
                 else:
-                    raise corrupt("invalid Huffman prefix", 32 * i - n)
+                    raise corrupt("invalid Huffman prefix", origin + p)
 
-    consumed = 32 * i - n
+    consumed = origin + p
     if consumed > total:
         raise corrupt("truncated scan data", consumed)
     if total - consumed >= 8:

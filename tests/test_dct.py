@@ -1,6 +1,8 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from statjpeg.dct import forward_dct, inverse_dct
+from statjpeg.dct import _BASIS, forward_dct, inverse_dct
 
 
 def direct_dct_oracle(block):
@@ -64,3 +66,23 @@ def test_batched_equals_per_block(rng):
     batched = forward_dct(blocks)
     for i in range(10):
         np.testing.assert_allclose(batched[i], forward_dct(blocks[i]), atol=1e-12)
+
+
+@settings(max_examples=40)
+@given(
+    shape=st.sampled_from([(8, 8), (1, 8, 8), (7, 8, 8), (100, 8, 8), (4096, 8, 8),
+                           (12288, 8, 8), (3, 5, 8, 8)]),
+    seed=st.integers(0, 2**32 - 1),
+    pixels=st.booleans(),
+)
+def test_forward_equals_transposed_view_form(shape, seed, pixels):
+    # forward_dct multiplies by a contiguous copy of the transposed basis,
+    # which picks a faster matmul kernel.  The coefficients must stay
+    # bit-equal to the view form, or quantized bytes could change.
+    rng = np.random.default_rng(seed)
+    if pixels:  # level-shifted samples, as the encoder passes them
+        block = rng.integers(0, 256, size=shape).astype(np.float64) - 128
+    else:
+        block = rng.uniform(-1e3, 1e3, size=shape)
+    expected = _BASIS @ block @ _BASIS.T
+    np.testing.assert_array_equal(forward_dct(block), expected, strict=True)

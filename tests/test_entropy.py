@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_quantized_blocks
+from statjpeg import huffman
 from statjpeg.errors import CorruptStreamError, EncodingRangeError, InvalidInputError
 from statjpeg.huffman import (
     AC_CHROMA,
@@ -182,3 +188,33 @@ def test_huffman_table_validation():
     HuffmanTable([1, 1, 1] + [0] * 13, [0, 1, 2])  # 0, 10, 110: 111 unused
     with pytest.raises(InvalidInputError, match="bytes"):
         HuffmanTable([1] + [0] * 15, [256])
+
+
+def test_dc_beyond_int32_is_corrupt_stream():
+    # 1-bit tables: DC category 11 is "0" and EOB is "0".  Each block is
+    # "0", eleven 1-bits (+2047) and "0", so the DC predictor passes the
+    # int32 maximum at block 1,049,089 of 1,049,090.
+    n = 1_049_090
+    dc, ac = HuffmanTable([1] + [0] * 15, [11]), HuffmanTable([1] + [0] * 15, [0x00])
+    block = np.array([0] + [1] * 11 + [0], dtype=np.uint8)
+    bits = np.concatenate([np.tile(block, n), np.ones(-13 * n % 8, dtype=np.uint8)])
+    data = np.packbits(bits).tobytes().replace(b"\xff", b"\xff\x00")
+    with pytest.raises(CorruptStreamError, match="int32") as err:
+        entropy_decode(data, n, [dc], [ac], base_offset=100)
+    assert 100 < err.value.offset < 100 + len(data)
+
+
+def test_import_builds_no_coding_table():
+    # Tables are built on first use, so importing the package costs none.
+    probe = (
+        "import statjpeg\n"
+        "from statjpeg import huffman\n"
+        "print(huffman._decode_lut.cache_info().currsize,"
+        " huffman._scan_code_arrays.cache_info().currsize)"
+    )
+    src = Path(huffman.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["0", "0"]

@@ -5,6 +5,8 @@ coefficients, or raise the same exception class with the same message at
 the same byte offset.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 import entropy_oracle as oracle
 from conftest import random_quantized_blocks
 from statjpeg import huffman
+from statjpeg.color import color_convert_forward
 from statjpeg.errors import CorruptStreamError, StatJpegError
 from statjpeg.huffman import (
     AC_CHROMA,
@@ -23,6 +26,9 @@ from statjpeg.huffman import (
     entropy_decode,
     entropy_encode,
 )
+from statjpeg.jpeg import _plane_to_scan_blocks
+from statjpeg.synth import synth_image
+from statjpeg.tables import standard_table
 
 CHUNK = huffman._CHUNK_MCUS
 DC_TABLES = [DC_LUMA, DC_CHROMA, DC_CHROMA]
@@ -339,3 +345,59 @@ def test_full_code_space_truncated_and_garbage_tails_match_oracle(tail):
 )
 def test_full_code_space_ones_heavy_bytes_match_oracle(data, n_mcus):
     check_decode(data, n_mcus, FULL_TABLES, 0)
+
+
+# Windows of 1 and 7 scan bytes are rebuilt at nearly every MCU, so every
+# decode below crosses window boundaries; the default one holds 64 KB.
+SMALL_WINDOWS = [1, 7]
+
+
+@pytest.mark.parametrize("window_bytes", SMALL_WINDOWS)
+def test_small_windows_match_oracle(monkeypatch, window_bytes):
+    monkeypatch.setattr(huffman, "_WINDOW_BYTES", window_bytes)
+    test_decode_matches_oracle()
+    test_decode_arbitrary_bytes_matches_oracle()
+
+
+def window_starts(monkeypatch, data, n_mcus, tables):
+    """The first unstuffed byte of each window one decode of ``data`` builds."""
+    starts = []
+    build = huffman._window
+
+    def recording(padded, first, stop):
+        starts.append(first)
+        return build(padded, first, stop)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(huffman, "_window", recording)
+        entropy_decode(data, n_mcus, *tables)
+    return starts
+
+
+@pytest.mark.parametrize("window_bytes", SMALL_WINDOWS)
+def test_cut_after_window_boundary_matches_oracle(monkeypatch, window_bytes):
+    # Truncate the scan just after each window's first byte, and put
+    # garbage there, with the window still at its small size.
+    monkeypatch.setattr(huffman, "_WINDOW_BYTES", window_bytes)
+    rng = np.random.default_rng(11)
+    comps = [make_blocks(rng, 12, ("sparse", "zero", "long_runs"), True) for _ in range(3)]
+    data = oracle.entropy_encode(comps, DC_TABLES, AC_TABLES)
+    starts = window_starts(monkeypatch, data, 12, (DC_TABLES, AC_TABLES))
+    assert len(starts) >= 3 and starts[1] > 0
+    _, stuffed = huffman._unstuff(data, 0)
+    for first in starts[1:]:
+        at = first + bisect_right(stuffed, first)  # the window's first byte in ``data``
+        for cut in range(at, min(at + 3, len(data)) + 1):
+            for tail in (b"", b"\x00", b"\x5a\xff\x00", b"\xff\xd9"):
+                check_decode(data[:cut] + tail, 12, (DC_TABLES, AC_TABLES), 613)
+
+
+def test_qf100_scan_across_windows_round_trips(monkeypatch):
+    img = synth_image("speckle", np.random.default_rng(3), 512, 512)
+    table = standard_table(100, "luma")
+    comps = [_plane_to_scan_blocks(plane, table) for plane in color_convert_forward(img)]
+    data = entropy_encode(comps, DC_TABLES, AC_TABLES)
+    starts = window_starts(monkeypatch, data, 4096, (DC_TABLES, AC_TABLES))
+    assert len(starts) >= 3
+    decoded = entropy_decode(data, 4096, DC_TABLES, AC_TABLES)
+    assert all(np.array_equal(a, b) for a, b in zip(comps, decoded))
