@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# Pre-merge check: the tier-1 tests, the benchmark's self-test, and a 3-s
+# seed-0 run of every workload in BENCHMARK.json.  Every step runs; the
+# script exits non-zero if any test fails or any run does not report
+# "correct": true.  The runs write their reports to .perfbench/ and change
+# nothing else.
+#
+#   scripts/verify.sh
+set -uo pipefail
+cd "$(dirname "$0")/.." || exit 2
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+status=0
+python3 -m pytest -q --continue-on-collection-errors || status=1
+python3 -m pytest -q perfbench || status=1
+
+workloads=$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+for workload in $workloads; do
+    result=$(python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 3 | tail -n 1)
+    python3 - "$workload" "$result" <<'PY' || status=1
+import json
+import sys
+
+workload, line = sys.argv[1], sys.argv[2]
+result = json.loads(line)
+ok = result["metrics"]["ok_ops_frac"]["value"]
+print(f"{workload}: correct {str(result['correct']).lower()}, "
+      f"{result['failed']} of {result['attempted']} checks failed, ok_ops_frac {ok}")
+sys.exit(0 if result["correct"] is True else 1)
+PY
+done
+if [ "$status" -ne 0 ]; then
+    echo "verify: FAILED (see the failing step above)" >&2
+fi
+exit "$status"

@@ -24,7 +24,7 @@ and the magnitude bits are read from the window next.
 """
 
 import functools
-from bisect import bisect_right
+import re
 
 import numpy as np
 
@@ -112,6 +112,10 @@ _BLOCK_BITS = 2048
 
 _INVALID = (0, 0, 0)  # decode-table entry for a prefix no code starts with
 
+# T.81 F.1.2.3: inside a scan every 0xFF data byte is followed by a stuffed
+# 0x00, so the first 0xFF that is not (or that ends the bytes) is a marker.
+SCAN_END = re.compile(rb"\xff(?!\x00)")
+
 
 def _canonical_codes(bits, values):
     """Yield (symbol, code, length) in the T.81 Annex C assignment order."""
@@ -176,7 +180,9 @@ def _decode_lut(bits, values, dc):
     ``consume > 0``: the next ``consume`` bits are a code and its magnitude
     bits, and the coefficient (for DC, the difference) is ``value``.  An AC
     coefficient sits ``advance`` (its zero run + 1) places after the one
-    before it; for DC, ``advance`` is 0.  ``consume < 0``: the code is
+    before it; for DC, ``advance`` is 0.  ZRL is read as the coefficient 0
+    after 15 zeros, so its entry is ``(length, 16, 0)``, the only AC entry
+    with value 0.  ``consume < 0``: the code is
     ``-consume`` bits long and ``advance`` holds its symbol; magnitude bits,
     if any, follow.  ``consume == 0``: no code has this prefix.  Equal
     entries share one tuple.
@@ -189,7 +195,7 @@ def _decode_lut(bits, values, dc):
             fast = symbol <= 11
         else:
             advance, size = (symbol >> 4) + 1, symbol & 0x0F
-            fast = size > 0
+            fast = size > 0 or symbol == 0xF0  # ZRL: 16 zeros, value 0
         spare = _LUT_BITS - length - size
         if fast and spare >= 0:
             step = 1 << spare
@@ -242,29 +248,17 @@ AC_CHROMA = HuffmanTable(AC_CHROMA_BITS, AC_CHROMA_VALUES)
 
 def _unstuff(data, base_offset):
     """Remove 0xFF00 stuffing; reject bare markers and trailing 0xFF."""
-    out = bytearray()
-    stuff_positions = []
-    i = 0
-    n = len(data)
-    while True:
-        j = data.find(0xFF, i)
-        if j < 0:
-            out += data[i:]
-            break
-        out += data[i:j + 1]
-        if j + 1 >= n:
-            raise CorruptStreamError(
-                "scan data ends mid byte-stuffing", offset=base_offset + j
-            )
-        follow = data[j + 1]
-        if follow != 0x00:
-            raise CorruptStreamError(
-                f"marker byte 0xFF{follow:02X} inside scan data",
-                offset=base_offset + j,
-            )
-        stuff_positions.append(len(out))
-        i = j + 2
-    return bytes(out), stuff_positions
+    marker = SCAN_END.search(data)
+    if marker is None:
+        return data.replace(b"\xff\x00", b"\xff")
+    j = marker.start()
+    if marker.end() == len(data):
+        raise CorruptStreamError(
+            "scan data ends mid byte-stuffing", offset=base_offset + j
+        )
+    raise CorruptStreamError(
+        f"marker byte 0xFF{data[j + 1]:02X} inside scan data", offset=base_offset + j
+    )
 
 
 def _pack(out, words, ends, nbits):
@@ -459,7 +453,7 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
     n_comp = len(dc_tables)
     if len(ac_tables) != n_comp:
         raise InvalidInputError("need one DC and one AC table per component")
-    buf, stuff_positions = _unstuff(data, base_offset)
+    buf = _unstuff(data, base_offset)
     total = 8 * len(buf)
     # Every block takes at least 2 bits (a 1-bit DC code and a 1-bit EOB or
     # AC code), so the declared size can be checked before allocating.
@@ -475,7 +469,8 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
         if consumed > total:
             message = "truncated scan data"
         unstuffed = min(consumed // 8, len(buf))
-        offset = base_offset + unstuffed + bisect_right(stuff_positions, unstuffed)
+        # Each 0xFF before ``unstuffed`` lost the 0x00 stuffed after it.
+        offset = base_offset + unstuffed + buf.count(b"\xff", 0, unstuffed)
         return CorruptStreamError(message, offset=offset)
 
     out = [np.zeros(64 * n_mcus, dtype=np.int32) for _ in range(n_comp)]
@@ -519,9 +514,8 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
                 p -= ln
                 if size > 11:
                     raise corrupt(f"invalid DC magnitude category {size}", origin + p)
-                raw = win[p] >> (16 - size)
+                value = _extend(win[p] >> (16 - size), size)
                 p += size
-                value = raw if raw >> (size - 1) else raw - (1 << size) + 1
             else:
                 raise corrupt("invalid Huffman prefix", origin + p)
             value += preds[c]
@@ -543,7 +537,8 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
                         # Report what a code-then-magnitude read would: the
                         # code is ``ln`` minus the magnitude bits.
                         consumed = origin + p + ln - abs(value).bit_length()
-                        raise corrupt("coefficient run past end of block", consumed)
+                        what = "zero" if value == 0 else "coefficient"  # 0: ZRL
+                        raise corrupt(f"{what} run past end of block", consumed)
                     p += ln
                     coef[k] = value
                 elif ln:
@@ -555,13 +550,8 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
                             raise corrupt(
                                 "coefficient run past end of block", origin + p
                             )
-                        raw = win[p] >> (16 - size)
+                        coef[k] = _extend(win[p] >> (16 - size), size)
                         p += size
-                        coef[k] = raw if raw >> (size - 1) else raw - (1 << size) + 1
-                    elif advance == 0xF0:  # ZRL
-                        k += 16
-                        if k > end:
-                            raise corrupt("zero run past end of block", origin + p)
                     elif advance:
                         raise corrupt(f"invalid AC symbol 0x{advance:02X}", origin + p)
                     else:  # EOB

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptStreamError, InvalidInputError, UnsupportedFeatureError
-from .huffman import HuffmanTable
+from .huffman import SCAN_END, HuffmanTable
 from .quant import ZIGZAG_INDEX, QuantTable, inverse_zigzag
 
 SOI = 0xD8
@@ -209,18 +209,14 @@ def _parse_sos_header(payload, offset, parsed):
 
 def _find_scan_end(data, start):
     """Scan bytes end at the first marker that is not byte stuffing."""
-    i = start
-    while True:
-        j = data.find(b"\xff", i)
-        if j < 0 or j + 1 >= len(data):
-            raise CorruptStreamError("scan data ends without EOI", offset=len(data))
-        follow = data[j + 1]
-        if follow == 0x00:
-            i = j + 2
-            continue
-        if 0xD0 <= follow <= 0xD7:
-            raise UnsupportedFeatureError(f"RST{follow - 0xD0} restart marker in scan")
-        return j
+    marker = SCAN_END.search(data, start)
+    if marker is None or marker.end() == len(data):
+        raise CorruptStreamError("scan data ends without EOI", offset=len(data))
+    j = marker.start()
+    follow = data[j + 1]
+    if 0xD0 <= follow <= 0xD7:
+        raise UnsupportedFeatureError(f"RST{follow - 0xD0} restart marker in scan")
+    return j
 
 
 def _segments(data):

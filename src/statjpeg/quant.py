@@ -1,5 +1,6 @@
 """Quantization tables, coefficient quantization, and the zig-zag scan."""
 
+import numbers
 import operator
 
 import numpy as np
@@ -22,6 +23,15 @@ ZIGZAG_INDEX = np.array([
 ZIGZAG_POSITION = np.argsort(ZIGZAG_INDEX)
 
 
+def _is_integer(value):
+    # Integral floats count (np.ones(64) is a table); bools and strings do not.
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and float(value).is_integer()
+    )
+
+
 class QuantTable:
     """64 integer quantization steps in natural order, each in [1, 255].
 
@@ -33,9 +43,12 @@ class QuantTable:
     """
 
     def __init__(self, values, provenance=None):
-        arr = np.asarray(values, dtype=np.int64).reshape(-1)
-        if arr.size != 64:
-            raise InvalidInputError(f"quantization table needs 64 entries, got {arr.size}")
+        steps = np.asarray(values, dtype=object).reshape(-1)
+        if steps.size != 64:
+            raise InvalidInputError(f"quantization table needs 64 entries, got {steps.size}")
+        if not all(map(_is_integer, steps)):
+            raise InvalidInputError("quantization steps must be integers")
+        arr = steps.astype(np.int64)
         if arr.min() < 1 or arr.max() > 255:
             raise InvalidInputError("quantization steps must lie in [1, 255]")
         self.values = arr.copy()

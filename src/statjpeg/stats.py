@@ -141,7 +141,7 @@ class FrequencyStats:
                 )
             stddev = np.sqrt(np.maximum(m2, 0.0) / count)
             channels[channel] = (count, _frozen(mean), _frozen(stddev))
-        return FrequencySummary(channels, self.total_blocks, self.source_digest)
+        return FrequencySummary(channels, self.source_digest)
 
 
 def _frozen(values):
@@ -156,8 +156,11 @@ class FrequencySummary:
     read-only natural-order arrays, plus provenance."""
 
     channels: dict
-    total_blocks: int
     source_digest: str = None
+
+    @property
+    def total_blocks(self):
+        return sum(count for count, _, _ in self.channels.values())
 
     def deltas(self, channel="y"):
         """The 64 per-band standard deviations in natural order."""
@@ -171,8 +174,7 @@ class FrequencySummary:
         if not isinstance(other, FrequencySummary):
             return NotImplemented
         return (
-            self.total_blocks == other.total_blocks
-            and self.source_digest == other.source_digest
+            self.source_digest == other.source_digest
             and self.channels.keys() == other.channels.keys()
             and all(
                 np.array_equal(mine, theirs)
@@ -224,9 +226,13 @@ def load_stats(path):
                 _frozen([float(b["mean"]) for b in ordered]),
                 _frozen([float(b["stddev"]) for b in ordered]),
             )
-        return FrequencySummary(
-            channels, int(doc["total_blocks"]), doc.get("source_manifest_digest")
-        )
+        summary = FrequencySummary(channels, doc.get("source_manifest_digest"))
+        if doc["total_blocks"] != summary.total_blocks:
+            raise InvalidInputError(
+                f"total_blocks {doc['total_blocks']!r} is not the sum of the channel "
+                f"counts ({summary.total_blocks})"
+            )
+        return summary
     except (AttributeError, KeyError, TypeError) as exc:
         # a missing field, or a field of the wrong type
         raise InvalidInputError(

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import corrupt_png
 from statjpeg.cli import main
+from statjpeg.errors import InvalidInputError
 from statjpeg.imgfile import load_image, save_ppm
 from statjpeg.jpeg import decode_coefficients, encode_image
 from statjpeg.quant import zigzag
@@ -112,6 +113,14 @@ class TestDesignTable:
         assert code == 2
         assert "error: stats have no channel 'chroma' (channels: y)" in capsys.readouterr().err
 
+    def test_stats_with_wrong_total_blocks_exits_two(self, stats_file, tmp_path, capsys):
+        doc = json.loads(stats_file.read_text())
+        doc["total_blocks"] += 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["design-table", str(bad), "--out", str(tmp_path / "t.json")]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_stats_file_exits_two(self, tmp_path):
         assert main(["design-table", str(tmp_path / "no.json"), "--out", "t.json"]) == 2
 
@@ -188,6 +197,19 @@ class TestCompressDecompress:
                      "--out", str(tmp_path / "x.jpg")])
         assert code == 2
         assert "error: bad table source" in capsys.readouterr().err
+
+    def test_fractional_table_step_exits_two(self, sample_ppm, tmp_path, capsys):
+        table_path = tmp_path / "table.json"
+        save_table(same_q_table(4), table_path)
+        doc = json.loads(table_path.read_text())
+        doc["entries"][0] = 3.7
+        table_path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match="steps must be integers"):
+            load_table(table_path)
+        code = main(["compress", str(sample_ppm), "--table", f"file:{table_path}",
+                     "--out", str(tmp_path / "x.jpg")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_plm_source(self, sample_ppm, stats_file, tmp_path):
         jpg = tmp_path / "plm.jpg"

@@ -245,6 +245,87 @@ def test_zero_run_may_end_exactly_at_block_end():
         np.testing.assert_array_equal(decode(data, 1, [DC_LUMA], [AC_LUMA])[0], expected)
 
 
+LUMA_TABLES = ([DC_LUMA], [AC_LUMA])
+ZRL = "11111111001"  # Annex K luma AC code of ZRL; "00" + "1" is +1
+
+
+def luma_scan(bits):
+    """``bits`` padded with 1s to a whole byte, with 0xFF stuffing."""
+    bits += "1" * (-len(bits) % 8)
+    return bits_to_bytes(bits).replace(b"\xff", b"\xff\x00")
+
+
+@pytest.mark.parametrize("run", [16, 32, 48])
+@pytest.mark.parametrize("lead", [0, 1, 14])
+def test_zero_runs_round_trip_against_oracle(run, lead):
+    # ``lead`` coefficients, then ``run`` zeros (run // 16 ZRLs) before one
+    # more coefficient; lead 14 with run 48 puts it at zig-zag 63.
+    blocks = np.zeros((4, 64), dtype=np.int64)
+    blocks[:, 0] = [5, -7, 0, 1024]
+    blocks[:, 1:lead + 1] = 3
+    blocks[:, lead + run + 1] = [1, -1, 1023, -1023]
+    expected = oracle.entropy_encode([blocks], *LUMA_TABLES)
+    assert entropy_encode([blocks], *LUMA_TABLES) == expected
+    for decode in (oracle.entropy_decode, entropy_decode):
+        np.testing.assert_array_equal(decode(expected, 4, *LUMA_TABLES)[0], blocks)
+
+
+def luma_outcome(data):
+    """Decode one luma MCU, check it against the oracle, and return it."""
+    check_decode(data, 1, LUMA_TABLES, 613)
+    return outcome(entropy_decode, data, 1, *LUMA_TABLES, 613)
+
+
+def test_four_zero_runs_in_one_block_match_oracle():
+    # Three ZRLs reach zig-zag 48; the fourth would end at 64.
+    for lead in (0, 1):
+        got = luma_outcome(luma_scan("00" + "001" * lead + ZRL * 4))
+        assert got[0] is CorruptStreamError
+        assert got[1].startswith("zero run past end of block")
+
+
+@pytest.mark.parametrize("start", [48, 49, 56, 63])
+def test_zero_run_from_zigzag_48_on_matches_oracle(start):
+    # Coefficients of +1 up to ``start - 1``, then a ZRL from ``start``:
+    # from 48 it ends the block at 63, later it overshoots.
+    got = luma_outcome(luma_scan("00" + "001" * (start - 1) + ZRL))
+    if start == 48:
+        assert np.array_equal(got[0][0, 1:48], np.ones(47))
+    else:
+        assert got[1].startswith("zero run past end of block")
+
+
+@pytest.mark.parametrize("coefs, message", [
+    (1, "invalid Huffman prefix"),
+    (4, "truncated scan data"),
+    (49, "zero run past end of block"),
+    (52, "truncated scan data"),
+])
+def test_scan_cut_right_after_zero_run_matches_oracle(coefs, message):
+    # The scan is cut at the last byte boundary of the ZRL code.  After 1
+    # or 49 coefficients the code ends there; after 4 or 52 its last bit is
+    # past the scan's end.  After 49 or 52 the run also overshoots the
+    # block, which outranks truncation only when the code ends in the scan.
+    bits = "00" + "001" * coefs + ZRL
+    data = luma_scan(bits[:len(bits) // 8 * 8])
+    assert luma_outcome(data)[1] == f"{message} (byte offset {613 + len(data)})"
+
+
+dense_ff = st.lists(st.sampled_from([0x00, 0xFF, 0xD9, 0x5A]), max_size=48).map(bytes)
+
+
+@settings(max_examples=200)
+@given(
+    data=st.binary(max_size=48)
+    | dense_ff
+    | dense_ff.map(lambda raw: raw.replace(b"\xff", b"\xff\x00"))
+)
+def test_unstuff_matches_oracle(data):
+    # The same bytes out, or the same error class, message and offset.
+    expected = outcome(lambda: oracle._unstuff(data, 613)[0])
+    assert outcome(huffman._unstuff, data, 613) == expected
+
+
 # Run 0 / size 15 (0x0F) has the 16-bit code 1100000000000000: the longest
 # code with the most magnitude bits, so the farthest one read can reach past
 # the scan's end.  0x01 is "0" and EOB is "10".
@@ -384,7 +465,7 @@ def test_cut_after_window_boundary_matches_oracle(monkeypatch, window_bytes):
     data = oracle.entropy_encode(comps, DC_TABLES, AC_TABLES)
     starts = window_starts(monkeypatch, data, 12, (DC_TABLES, AC_TABLES))
     assert len(starts) >= 3 and starts[1] > 0
-    _, stuffed = huffman._unstuff(data, 0)
+    _, stuffed = oracle._unstuff(data, 0)
     for first in starts[1:]:
         at = first + bisect_right(stuffed, first)  # the window's first byte in ``data``
         for cut in range(at, min(at + 3, len(data)) + 1):

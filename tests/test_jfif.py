@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statjpeg import jfif
 from statjpeg.errors import CorruptStreamError, UnsupportedFeatureError
@@ -181,6 +185,43 @@ def test_fill_bytes_before_a_marker_accepted(gray_file):
     assert jfif.validate_structure(patched) == []
     assert jfif.parse_jpeg(patched).scan_data == jfif.parse_jpeg(gray_file).scan_data
     assert decode_image(patched) == decode_image(gray_file)
+
+
+@functools.lru_cache(maxsize=1)
+def scan_header():
+    """A valid gray file's bytes up to its scan."""
+    img = RasterImage.from_array(np.arange(256, dtype=np.uint8).reshape(16, 16))
+    data = encode_image(img, QuantTable(np.full(64, 8)))
+    return data[:jfif.parse_jpeg(data).scan_offset]
+
+
+@settings(max_examples=100)
+@given(
+    raw=st.binary(max_size=64)
+    | st.lists(st.sampled_from([0x00, 0xFF, 0xD0, 0xD9]), max_size=64).map(bytes),
+    fill=st.integers(0, 2),
+)
+def test_scan_ends_at_first_ff_that_is_not_stuffing(raw, fill):
+    stuffed = raw.replace(b"\xff", b"\xff\x00")
+    parsed = jfif.parse_jpeg(scan_header() + stuffed + b"\xff" * fill + b"\xff\xd9")
+    assert parsed.scan_data == stuffed
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_restart_marker_inside_scan_unsupported(n):
+    body = b"\x12\xff\x00\x34"
+    data = scan_header() + body + bytes([0xFF, 0xD0 + n]) + body + b"\xff\xd9"
+    with pytest.raises(UnsupportedFeatureError, match=f"RST{n} restart marker in scan"):
+        jfif.parse_jpeg(data)
+
+
+@pytest.mark.parametrize("tail", [b"\xff", b"\xff\x00\xff", b""])
+def test_scan_without_eoi_is_corrupt(tail):
+    # A lone 0xFF as the last byte starts no marker.
+    data = scan_header() + b"\x12\xff\x00\x34" + tail
+    with pytest.raises(CorruptStreamError, match="scan data ends without EOI") as exc:
+        jfif.parse_jpeg(data)
+    assert exc.value.offset == len(data)
 
 
 def field_mutants(data):

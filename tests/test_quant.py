@@ -88,6 +88,22 @@ def test_quant_table_validation():
 
 
 @pytest.mark.parametrize(
+    "steps",
+    [[3.7] * 64, [16] * 63 + [16.5], ["16"] * 64, [True] * 64, [16] * 63 + [True],
+     np.full(64, np.nan)],
+    ids=["fraction", "one-fraction", "string", "bool", "one-bool", "nan"],
+)
+def test_quant_table_rejects_non_integer_steps(steps):
+    with pytest.raises(InvalidInputError, match="steps must be integers"):
+        QuantTable(steps)
+
+
+def test_quant_table_accepts_integral_floats():
+    assert QuantTable([16.0] * 64) == table_of(16)
+    assert QuantTable(np.arange(1.0, 65.0)).values.tolist() == list(range(1, 65))
+
+
+@pytest.mark.parametrize(
     "drop", [[-1], [64], [3, 64], 5, ["61"], [61.0]],
     ids=["minus-1", "64", "3-and-64", "not-a-list", "string", "float"],
 )

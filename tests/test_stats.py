@@ -297,6 +297,22 @@ class TestPersistence:
         with pytest.raises(InvalidInputError, match="disagree on count"):
             load_stats(path)
 
+    def test_total_blocks_must_be_the_channel_count_sum(self, rng, tmp_path):
+        stats = FrequencyStats("per-channel").accumulate_image(
+            RasterImage.from_array(rng.integers(0, 256, size=(16, 16, 3)).astype(np.uint8))
+        )
+        summary = stats.finalize()
+        assert summary.total_blocks == 4 + 8  # luma, then Cb and Cr pooled
+        path = tmp_path / "stats.json"
+        save_stats(summary, path)
+        doc = json.loads(path.read_text())
+        assert doc["total_blocks"] == 12
+        for wrong in (999999, 4, "12"):
+            doc["total_blocks"] = wrong
+            path.write_text(json.dumps(doc))
+            with pytest.raises(InvalidInputError, match="sum of the channel counts"):
+                load_stats(path)
+
     def test_version_mismatch(self, tmp_path, rng):
         stats = FrequencyStats()
         stats.accumulate_image(gray_image(rng.integers(0, 256, size=(16, 16))))
