@@ -25,11 +25,11 @@ ZIGZAG_POSITION = np.argsort(ZIGZAG_INDEX)
 
 def _is_integer(value):
     # Integral floats count (np.ones(64) is a table); bools and strings do not.
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and float(value).is_integer()
-    )
+    if type(value) is int:  # the common case, which skips the slower ABC checks
+        return True
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
 class QuantTable:
@@ -48,10 +48,9 @@ class QuantTable:
             raise InvalidInputError(f"quantization table needs 64 entries, got {steps.size}")
         if not all(map(_is_integer, steps)):
             raise InvalidInputError("quantization steps must be integers")
-        arr = steps.astype(np.int64)
-        if arr.min() < 1 or arr.max() > 255:
+        if not all(1 <= step <= 255 for step in steps):
             raise InvalidInputError("quantization steps must lie in [1, 255]")
-        self.values = arr.copy()
+        self.values = steps.astype(np.int64)
         self.values.setflags(write=False)
         self.provenance = dict(provenance) if provenance else {}
         drop_zigzag = self.provenance.get("drop_zigzag", ())

@@ -98,6 +98,12 @@ def test_quant_table_rejects_non_integer_steps(steps):
         QuantTable(steps)
 
 
+@pytest.mark.parametrize("huge", [1e300, 10**400])
+def test_quant_table_rejects_steps_beyond_int64(huge):
+    with pytest.raises(InvalidInputError, match=r"lie in \[1, 255\]"):
+        QuantTable([16] * 63 + [huge])
+
+
 def test_quant_table_accepts_integral_floats():
     assert QuantTable([16.0] * 64) == table_of(16)
     assert QuantTable(np.arange(1.0, 65.0)).values.tolist() == list(range(1, 65))
