@@ -9,9 +9,15 @@ edge blocks are padded.
 The statistics digests were recorded before the band statistics became
 plain arrays.  They cover the ``analyze`` JSON and CSV in both channel
 modes and the tables ``design-table`` derives from them.
+
+The benchmark digests were recorded before the table sources became one
+registry.  They cover ``benchmark --csv``, its printed summary and its
+``--json`` over every table-source kind, ``plm:`` on luma-only and on
+per-channel stats included.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +25,7 @@ import pytest
 from statjpeg import cli
 from statjpeg.jpeg import decode_image, encode_image
 from statjpeg.synth import generate_corpus, synth_image
-from statjpeg.tables import rm_hf_table, standard_table
+from statjpeg.tables import rm_hf_table, same_q_table, save_table, standard_table
 
 LUMA = standard_table(75, "luma")
 CHROMA = standard_table(75, "chroma")
@@ -116,3 +122,35 @@ def test_statistics_outputs_match_recorded(tmp_path):
         assert cli.main(argv) == 0
         digests[f"design-table-{channel}"] = hashlib.sha256(table.read_bytes()).hexdigest()
     assert digests == RECORDED_STATS
+
+
+# benchmark output -> SHA-256 of its bytes; the JSON without its "corpus"
+# line, which holds the machine-specific corpus path
+RECORDED_BENCHMARK = {
+    "csv": "8bc58dd33f1fb3e6fc0b6f8136fb034e3261dd288befb5f1cf0bb43abe169fa2",
+    "stdout": "966dfcd449bba77ca01cb1f516c78e2aab82efed617367851e074f36613f749d",
+    "json": "c06a9e7f765ab57d7d51106d7dc6c37340108acd61f0edf4aa52f83fd14de995",
+}
+
+
+def test_benchmark_outputs_match_recorded(tmp_path, monkeypatch, capsys):
+    # relative paths keep the source labels free of the temporary directory
+    monkeypatch.chdir(tmp_path)
+    corpus = generate_corpus(tmp_path / "corpus", images_per_class=2, size=(37, 53))
+    for mode, stats in (("luma", "luma.json"), ("per-channel", "pc.json")):
+        assert cli.main(["analyze", str(corpus), "--channel-mode", mode, "--out", stats]) == 0
+    save_table(rm_hf_table(same_q_table(6), 5), "table.json")
+    capsys.readouterr()
+    sources = ["plm:luma.json", "plm:pc.json", "standard-qf:100", "standard-qf:50",
+               "same-q:4", "rm-hf:3", "file:table.json"]
+    argv = ["benchmark", str(corpus), "--csv", "rows.csv", "--json", "summary.json"]
+    assert cli.main(argv + [arg for spec in sources for arg in ("--table", spec)]) == 0
+    summary = (tmp_path / "summary.json").read_text()
+    corpus_line = f'  "corpus": {json.dumps(str(corpus))},\n'
+    assert corpus_line in summary
+    digests = {
+        "csv": (tmp_path / "rows.csv").read_bytes(),
+        "stdout": capsys.readouterr().out.encode(),
+        "json": summary.replace(corpus_line, "").encode(),
+    }
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()} == RECORDED_BENCHMARK
