@@ -10,13 +10,15 @@ from statjpeg import PlmParams, derive_plm_table, rm_hf_table, same_q_table, seg
 from statjpeg.tables import format_grid
 
 # --- the mapping itself ------------------------------------------------------
-params = PlmParams()  # stock defaults: a=255 b=80 c=240 k=(9.75,1,3) t=(20,60)
+params = PlmParams()  # the stock defaults
 print("spread -> step under the default parameters:")
 for d in (0, 5, 19.9, 20, 35, 60, 61, 78, 100, 250):
     q = derive_plm_table(np.full(64, float(d)), params).values[0]
-    branch = "small" if d <= 20 else ("middle" if d <= 60 else "large")
+    branch = "small" if d <= params.t1 else ("middle" if d <= params.t2 else "large")
     print(f"  delta {d:6.1f} ({branch:>6}-spread branch) -> Q {q:3d}")
-print("note the floor at q_min=5 once delta exceeds (240-5)/3 = 78.33")
+floor_delta = (params.c - params.q_min) / params.k3
+print(f"note the floor at q_min={params.q_min} once delta exceeds "
+      f"({params.c:g}-{params.q_min})/{params.k3:g} = {floor_delta:.2f}")
 
 # --- a natural-looking spread profile ----------------------------------------
 # strong DC, decaying AC energy: roughly what photographic corpora produce

@@ -9,7 +9,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,49 +55,52 @@ class TableSource:
     chroma: QuantTable = None
 
 
+def _plm_tables(stats_path):
+    if not stats_path:
+        raise InvalidInputError("plm source needs a stats file: plm:<stats.json>")
+    summary = load_stats(stats_path)
+    luma = derive_plm_table(summary.deltas("y"))
+    if "chroma" not in summary.channels:
+        return luma, None
+    return luma, derive_plm_table(summary.deltas("chroma"))
+
+
+def _standard_tables(qf):
+    qf = int(qf)
+    return standard_table(qf, "luma"), standard_table(qf, "chroma")
+
+
+def _rm_hf_tables(n):
+    n = int(n)
+    return tuple(rm_hf_table(base, n) for base in _standard_tables(100))
+
+
+# --table kind -> builder of (luma, chroma or None) from the text after ":"
+_TABLE_SOURCES = {
+    "plm": _plm_tables,
+    "standard-qf": _standard_tables,
+    "same-q": lambda q: (same_q_table(int(q)), None),
+    "rm-hf": _rm_hf_tables,
+    "file": lambda path: (load_table(path), None),
+}
+
+
 def resolve_table_source(spec):
     """Parse a --table source spec into tables.
 
     Grammar: plm:<stats.json> | standard-qf:<1..100> | same-q:<1..255> |
     rm-hf:<n> | file:<table.json>.  ``plm:`` uses the default mapping
     constants; a table designed with other constants goes through
-    ``design-table`` and ``file:``.
+    ``design-table`` and ``file:``.  ``rm-hf:`` drops over the QF-100 pair.
     """
     kind, _, rest = spec.partition(":")
+    if kind not in _TABLE_SOURCES:
+        expected = "/".join(f"{name}:" for name in _TABLE_SOURCES)
+        raise InvalidInputError(f"unknown table source {spec!r} (expected {expected})")
     try:
-        if kind == "plm":
-            if not rest:
-                raise InvalidInputError("plm source needs a stats file: plm:<stats.json>")
-            summary = load_stats(rest)
-            luma = derive_plm_table(summary.deltas("y"))
-            chroma = (
-                derive_plm_table(summary.deltas("chroma"))
-                if "chroma" in summary.channels
-                else None
-            )
-            return TableSource(spec, luma, chroma)
-        if kind == "standard-qf":
-            qf = int(rest)
-            return TableSource(
-                spec, standard_table(qf, "luma"), standard_table(qf, "chroma")
-            )
-        if kind == "same-q":
-            return TableSource(spec, same_q_table(int(rest)))
-        if kind == "rm-hf":
-            n = int(rest)
-            return TableSource(
-                spec,
-                rm_hf_table(standard_table(100, "luma"), n),
-                rm_hf_table(standard_table(100, "chroma"), n),
-            )
-        if kind == "file":
-            return TableSource(spec, load_table(rest))
+        return TableSource(spec, *_TABLE_SOURCES[kind](rest))
     except ValueError as exc:
         raise InvalidInputError(f"bad table source {spec!r}: {exc}") from exc
-    raise InvalidInputError(
-        f"unknown table source {spec!r} "
-        "(expected plm:/standard-qf:/same-q:/rm-hf:/file:)"
-    )
 
 
 def cmd_analyze(args):
@@ -121,11 +124,7 @@ def cmd_analyze(args):
 def cmd_design_table(args):
     summary = load_stats(args.stats)
     deltas = summary.deltas(args.channel)
-    params = PlmParams(
-        a=args.a, b=args.b, c=args.c,
-        k1=args.k1, k2=args.k2, k3=args.k3,
-        t1=args.t1, t2=args.t2, q_min=args.qmin,
-    )
+    params = PlmParams(**{f.name: getattr(args, f.name) for f in fields(PlmParams)})
     if args.auto_thresholds:
         t1, t2 = auto_thresholds(deltas)
         params = replace(params, t1=t1, t2=t2)
@@ -176,12 +175,11 @@ def run_benchmark(manifest, sources):
     encoded and its file decoded for PSNR.  Returns (rows, aggregates): one
     row per image and source, and per source label the corpus totals.
     """
-    ref_luma = standard_table(100, "luma")
-    ref_chroma = standard_table(100, "chroma")
+    reference = resolve_table_source("standard-qf:100")
     rows = []
     for path in manifest.image_paths():
         img = load_image(path)
-        ref_bytes = len(encode_image(img, ref_luma, ref_chroma))
+        ref_bytes = len(encode_image(img, reference.luma, reference.chroma))
         for source in sources:
             data = encode_image(img, source.luma, source.chroma)
             quality = psnr(img, decode_image(data))
@@ -265,16 +263,11 @@ def cmd_benchmark(args):
 
 def _add_plm_flags(parser):
     group = parser.add_argument_group("piece-wise linear mapping parameters")
-    defaults = PlmParams()
-    group.add_argument("--a", type=float, default=defaults.a)
-    group.add_argument("--b", type=float, default=defaults.b)
-    group.add_argument("--c", type=float, default=defaults.c)
-    group.add_argument("--k1", type=float, default=defaults.k1)
-    group.add_argument("--k2", type=float, default=defaults.k2)
-    group.add_argument("--k3", type=float, default=defaults.k3)
-    group.add_argument("--t1", type=float, default=defaults.t1)
-    group.add_argument("--t2", type=float, default=defaults.t2)
-    group.add_argument("--qmin", type=int, default=defaults.q_min)
+    for f in fields(PlmParams):
+        flag = f.name.replace("_", "")  # q_min is --qmin
+        group.add_argument(
+            f"--{flag}", dest=f.name, metavar=flag.upper(), type=f.type, default=f.default
+        )
 
 
 def build_parser():
