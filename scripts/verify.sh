@@ -3,7 +3,8 @@
 # seed-0 run of every workload in BENCHMARK.json.  Every step runs; the
 # script exits non-zero if any test fails or any run does not report
 # "correct": true.  The runs write their reports to .perfbench/ and change
-# nothing else.
+# nothing else.  Last, it prints the line count of each src/statjpeg module
+# and their total, so a change can quote its size before and after.
 #
 #   scripts/verify.sh
 set -uo pipefail
@@ -29,6 +30,8 @@ print(f"{workload}: correct {str(result['correct']).lower()}, "
 sys.exit(0 if result["correct"] is True else 1)
 PY
 done
+echo "src/statjpeg line counts:"
+wc -l src/statjpeg/*.py
 if [ "$status" -ne 0 ]; then
     echo "verify: FAILED (see the failing step above)" >&2
 fi

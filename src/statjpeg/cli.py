@@ -201,6 +201,10 @@ def run_benchmark(manifest, sources):
 
 
 def cmd_benchmark(args):
+    # rows and aggregates are keyed by the spec, so a repeat would merge
+    for i, spec in enumerate(args.table):
+        if spec in args.table[:i]:
+            raise InvalidInputError(f"--table {spec} is given more than once")
     manifest = scan_corpus(args.corpus_dir)
     sources = [resolve_table_source(s) for s in args.table]
     rows, aggregates = run_benchmark(manifest, sources)

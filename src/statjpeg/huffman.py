@@ -24,6 +24,7 @@ and the magnitude bits are read from the window next.
 """
 
 import functools
+import operator
 import re
 
 import numpy as np
@@ -209,6 +210,17 @@ def _decode_lut(bits, values, dc):
     return tuple(lut)  # shared by every call through the cache
 
 
+def _integers(items, what):
+    if isinstance(items, (bytes, bytearray)):  # what the parser passes
+        return tuple(items)
+    try:
+        if any(isinstance(item, bool) for item in items):
+            raise TypeError  # operator.index(True) is 1
+        return tuple(operator.index(item) for item in items)
+    except TypeError:
+        raise InvalidInputError(f"Huffman {what} must be integers") from None
+
+
 class HuffmanTable:
     """One DHT-style Huffman table (16 length counts + symbol values).
 
@@ -217,8 +229,8 @@ class HuffmanTable:
     """
 
     def __init__(self, bits, values):
-        bits = tuple(int(b) for b in bits)
-        values = tuple(int(v) for v in values)
+        bits = _integers(bits, "BITS")
+        values = _integers(values, "symbol values")
         if len(bits) != 16:
             raise InvalidInputError("Huffman BITS must have 16 entries")
         if sum(bits) != len(values):

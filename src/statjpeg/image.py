@@ -37,6 +37,11 @@ class RasterImage:
                     f"{self.height}x{self.width}"
                 )
             if arr.dtype != np.uint8:
+                # integral floats count; bools, NaN and fractions do not
+                if arr.dtype.kind not in "iuf" or (
+                    arr.dtype.kind == "f" and not np.array_equal(arr, np.trunc(arr))
+                ):
+                    raise InvalidInputError("plane samples must be integers")
                 if arr.min() < 0 or arr.max() > 255:
                     raise InvalidInputError("plane samples must lie in [0, 255]")
                 arr = arr.astype(np.uint8)

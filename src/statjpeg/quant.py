@@ -2,6 +2,7 @@
 
 import numbers
 import operator
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -52,9 +53,13 @@ class QuantTable:
             raise InvalidInputError("quantization steps must lie in [1, 255]")
         self.values = steps.astype(np.int64)
         self.values.setflags(write=False)
+        if provenance is not None and not isinstance(provenance, Mapping):
+            raise InvalidInputError("table provenance must be a mapping")
         self.provenance = dict(provenance) if provenance else {}
         drop_zigzag = self.provenance.get("drop_zigzag", ())
         try:
+            if any(isinstance(p, bool) for p in drop_zigzag):
+                raise TypeError  # operator.index(True) is 1
             drop = sorted({operator.index(p) for p in drop_zigzag})
         except TypeError:
             raise InvalidInputError("drop_zigzag must list zig-zag positions") from None

@@ -190,6 +190,26 @@ def test_huffman_table_validation():
         HuffmanTable([1] + [0] * 15, [256])
 
 
+@pytest.mark.parametrize("bits, values", [
+    ([1.9] + [0] * 15, [0]),
+    ([True] + [0] * 15, [0]),
+    (["1"] + [0] * 15, [0]),
+    ([1.0] + [0] * 15, [0]),
+    ([1] + [0] * 15, [2.5]),
+    ([1] + [0] * 15, [False]),
+], ids=["bits-fraction", "bits-bool", "bits-string", "bits-float", "value-fraction",
+        "value-bool"])
+def test_huffman_table_rejects_non_integers(bits, values):
+    with pytest.raises(InvalidInputError, match="must be integers"):
+        HuffmanTable(bits, values)
+
+
+def test_huffman_table_takes_bytes_and_numpy_integers():
+    table = HuffmanTable(bytes([1, 1] + [0] * 14), np.array([3, 7], dtype=np.uint8))
+    assert (table.bits, table.values) == ((1, 1) + (0,) * 14, (3, 7))
+    assert all(type(v) is int for v in table.bits + table.values)
+
+
 def test_dc_beyond_int32_is_corrupt_stream():
     # 1-bit tables: DC category 11 is "0" and EOB is "0".  Each block is
     # "0", eleven 1-bits (+2047) and "0", so the DC predictor passes the

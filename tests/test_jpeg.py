@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from statjpeg.errors import CorruptStreamError, UnsupportedSizeError
+from statjpeg.errors import CorruptStreamError, InvalidInputError, UnsupportedSizeError
 from statjpeg.image import RasterImage
 from statjpeg.jfif import validate_structure
 from statjpeg.jpeg import decode_coefficients, decode_image, encode_image
@@ -83,6 +83,23 @@ def test_oversized_image_rejected():
     wide = RasterImage.from_array(np.zeros((1, 65536), dtype=np.uint8))
     with pytest.raises(UnsupportedSizeError):
         encode_image(wide, ONES)
+
+
+@pytest.mark.parametrize("plane", [
+    np.full((2, 3), 3.7), np.full((2, 3), np.nan), np.ones((2, 3), dtype=bool),
+    np.full((2, 3), "7"),
+], ids=["fraction", "nan", "bool", "string"])
+def test_raster_rejects_samples_that_are_not_integers(plane):
+    with pytest.raises(InvalidInputError, match="samples must be integers"):
+        RasterImage(3, 2, (plane,))
+
+
+def test_raster_takes_integral_floats_and_integers():
+    img = RasterImage(3, 2, (np.full((2, 3), 7.0),))
+    assert img.planes[0].dtype == np.uint8
+    assert img == RasterImage(3, 2, (np.full((2, 3), 7, dtype=np.int64),))
+    with pytest.raises(InvalidInputError, match=r"lie in \[0, 255\]"):
+        RasterImage(3, 2, (np.full((2, 3), np.inf),))
 
 
 def test_truncated_file_rejected(rng):

@@ -110,12 +110,18 @@ def test_quant_table_accepts_integral_floats():
 
 
 @pytest.mark.parametrize(
-    "drop", [[-1], [64], [3, 64], 5, ["61"], [61.0]],
-    ids=["minus-1", "64", "3-and-64", "not-a-list", "string", "float"],
+    "drop", [[-1], [64], [3, 64], 5, ["61"], [61.0], [True]],
+    ids=["minus-1", "64", "3-and-64", "not-a-list", "string", "float", "bool"],
 )
 def test_quant_table_rejects_bad_drop_set(drop):
     with pytest.raises(InvalidInputError):
         QuantTable(np.ones(64), provenance={"drop_zigzag": drop})
+
+
+@pytest.mark.parametrize("provenance", ["x", ["kind"], 5], ids=["string", "list", "int"])
+def test_quant_table_rejects_provenance_that_is_not_a_mapping(provenance):
+    with pytest.raises(InvalidInputError, match="provenance must be a mapping"):
+        QuantTable(np.ones(64), provenance=provenance)
 
 
 def test_quantize_stores_the_drop_set_as_zero(rng):

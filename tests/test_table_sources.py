@@ -127,3 +127,25 @@ def test_mapping_flags_are_the_plm_params_fields():
         assert action.default == field.default
         assert type(action.default) is field.type
     assert "[--qmin QMIN]" in parser.format_usage()
+
+
+def test_benchmark_rejects_a_repeated_table(tmp_path, capsys):
+    corpus = generate_corpus(tmp_path / "corpus", images_per_class=1, size=(16, 16))
+    csv_path = tmp_path / "rows.csv"
+    code = cli.main(["benchmark", str(corpus), "--table", "same-q:4",
+                     "--table", "standard-qf:90", "--table", "same-q:4",
+                     "--csv", str(csv_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --table same-q:4 is given more than once\n"
+    assert captured.out == ""
+    assert not csv_path.exists()
+
+
+def test_file_with_provenance_that_is_not_an_object(tmp_path):
+    path = tmp_path / "t.json"
+    save_table(same_q_table(4), path)
+    path.write_text(path.read_text().replace('"provenance": {', '"provenance": "x", "p": {'))
+    message = f"bad table source 'file:{path}': table provenance must be a mapping"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        cli.resolve_table_source(f"file:{path}")
