@@ -7,6 +7,7 @@ provenance included, and ``plm:`` on both luma-only and per-channel stats.
 """
 
 import argparse
+import json
 import re
 from dataclasses import fields
 
@@ -145,7 +146,9 @@ def test_benchmark_rejects_a_repeated_table(tmp_path, capsys):
 def test_file_with_provenance_that_is_not_an_object(tmp_path):
     path = tmp_path / "t.json"
     save_table(same_q_table(4), path)
-    path.write_text(path.read_text().replace('"provenance": {', '"provenance": "x", "p": {'))
+    doc = json.loads(path.read_text())
+    doc["provenance"] = "x"
+    path.write_text(json.dumps(doc))
     message = f"bad table source 'file:{path}': table provenance must be a mapping"
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         cli.resolve_table_source(f"file:{path}")
