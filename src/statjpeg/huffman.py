@@ -24,12 +24,12 @@ and the magnitude bits are read from the window next.
 """
 
 import functools
-import operator
 import re
 
 import numpy as np
 
 from .errors import CorruptStreamError, EncodingRangeError, InvalidInputError
+from .quant import integers
 
 # 8-bit baseline: AC coefficients are coded by magnitude category <= 10.
 # DC is DPCM-coded, so its own bound is the 8-bit DCT range (|dc| <= 1024)
@@ -210,17 +210,6 @@ def _decode_lut(bits, values, dc):
     return tuple(lut)  # shared by every call through the cache
 
 
-def _integers(items, what):
-    if isinstance(items, (bytes, bytearray)):  # what the parser passes
-        return tuple(items)
-    try:
-        if any(isinstance(item, bool) for item in items):
-            raise TypeError  # operator.index(True) is 1
-        return tuple(operator.index(item) for item in items)
-    except TypeError:
-        raise InvalidInputError(f"Huffman {what} must be integers") from None
-
-
 class HuffmanTable:
     """One DHT-style Huffman table (16 length counts + symbol values).
 
@@ -229,8 +218,8 @@ class HuffmanTable:
     """
 
     def __init__(self, bits, values):
-        bits = _integers(bits, "BITS")
-        values = _integers(values, "symbol values")
+        bits = integers(bits, "Huffman BITS")
+        values = integers(values, "Huffman symbol values")
         if len(bits) != 16:
             raise InvalidInputError("Huffman BITS must have 16 entries")
         if sum(bits) != len(values):

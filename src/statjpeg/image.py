@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
+from .quant import integer_array
 
 
 @dataclass(frozen=True)
@@ -30,22 +31,13 @@ class RasterImage:
             )
         norm = []
         for plane in self.planes:
-            arr = np.asarray(plane)
-            if arr.shape != (self.height, self.width):
+            if not (isinstance(plane, np.ndarray) and plane.dtype == np.uint8):
+                plane = integer_array(plane, 0, 255, "plane samples").astype(np.uint8)
+            if plane.shape != (self.height, self.width):
                 raise InvalidInputError(
-                    f"plane shape {arr.shape} does not match "
-                    f"{self.height}x{self.width}"
+                    f"plane shape {plane.shape} does not match {self.height}x{self.width}"
                 )
-            if arr.dtype != np.uint8:
-                # integral floats count; bools, NaN and fractions do not
-                if arr.dtype.kind not in "iuf" or (
-                    arr.dtype.kind == "f" and not np.array_equal(arr, np.trunc(arr))
-                ):
-                    raise InvalidInputError("plane samples must be integers")
-                if arr.min() < 0 or arr.max() > 255:
-                    raise InvalidInputError("plane samples must lie in [0, 255]")
-                arr = arr.astype(np.uint8)
-            norm.append(arr)
+            norm.append(plane)
         object.__setattr__(self, "planes", tuple(norm))
 
     @property

@@ -26,11 +26,40 @@ ZIGZAG_POSITION = np.argsort(ZIGZAG_INDEX)
 
 def _is_integer(value):
     # Integral floats count (np.ones(64) is a table); bools and strings do not.
-    if type(value) is int:  # the common case, which skips the slower ABC checks
-        return True
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    return isinstance(value, numbers.Integral) or float(value).is_integer()
+    return type(value) is int or (  # the common case skips the slower ABC checks
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and (isinstance(value, numbers.Integral) or float(value).is_integer())
+    )
+
+
+def integers(items, what):
+    """Exact-integer rule: a tuple of ints; floats (1.0 too), bools and strings fail."""
+    if isinstance(items, (bytes, bytearray)):  # what the JPEG parser passes
+        return tuple(items)
+    try:
+        items = tuple(items)
+        if any(isinstance(item, bool) for item in items):
+            raise TypeError  # index(True) is 1
+        return tuple(map(operator.index, items))
+    except TypeError:
+        raise InvalidInputError(f"{what} must be integers") from None
+
+
+def integer_array(values, low, high, what):
+    """Integral-value rule: ``values`` as an int64 array of their shape, each
+    in [low, high].  Integral floats pass; fractions, NaN, bools and strings
+    raise InvalidInputError.  Integer and float arrays are checked whole."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        arr = values  # NaN fails the trunc comparison
+        integral = arr.dtype.kind != "f" or np.array_equal(arr, np.trunc(arr))
+    else:
+        arr = np.asarray(values, dtype=object)  # keeps bools apart from ints
+        integral = all(map(_is_integer, arr.flat))
+    if not integral:
+        raise InvalidInputError(f"{what} must be integers")
+    if arr.size and (arr.min() < low or arr.max() > high):
+        raise InvalidInputError(f"{what} must lie in [{low}, {high}]")
+    return arr.astype(np.int64)
 
 
 class QuantTable:
@@ -44,25 +73,15 @@ class QuantTable:
     """
 
     def __init__(self, values, provenance=None):
-        steps = np.asarray(values, dtype=object).reshape(-1)
-        if steps.size != 64:
-            raise InvalidInputError(f"quantization table needs 64 entries, got {steps.size}")
-        if not all(map(_is_integer, steps)):
-            raise InvalidInputError("quantization steps must be integers")
-        if not all(1 <= step <= 255 for step in steps):
-            raise InvalidInputError("quantization steps must lie in [1, 255]")
-        self.values = steps.astype(np.int64)
-        self.values.setflags(write=False)
+        values = integer_array(values, 1, 255, "quantization steps").reshape(-1)
+        if values.size != 64:
+            raise InvalidInputError(f"quantization table needs 64 entries, got {values.size}")
+        values.setflags(write=False)
+        self.values = values
         if provenance is not None and not isinstance(provenance, Mapping):
             raise InvalidInputError("table provenance must be a mapping")
         self.provenance = dict(provenance) if provenance else {}
-        drop_zigzag = self.provenance.get("drop_zigzag", ())
-        try:
-            if any(isinstance(p, bool) for p in drop_zigzag):
-                raise TypeError  # operator.index(True) is 1
-            drop = sorted({operator.index(p) for p in drop_zigzag})
-        except TypeError:
-            raise InvalidInputError("drop_zigzag must list zig-zag positions") from None
+        drop = sorted(set(integers(self.provenance.get("drop_zigzag", ()), "drop_zigzag")))
         if drop and (drop[0] < 0 or drop[-1] > 63):
             raise InvalidInputError("drop positions must be zig-zag indices 0..63")
         # natural-order indices of the dropped bands

@@ -87,8 +87,8 @@ def test_oversized_image_rejected():
 
 @pytest.mark.parametrize("plane", [
     np.full((2, 3), 3.7), np.full((2, 3), np.nan), np.ones((2, 3), dtype=bool),
-    np.full((2, 3), "7"),
-], ids=["fraction", "nan", "bool", "string"])
+    np.full((2, 3), "7"), [[True, 2, 3], [4, 5, 6]],
+], ids=["fraction", "nan", "bool", "string", "bool-in-list"])
 def test_raster_rejects_samples_that_are_not_integers(plane):
     with pytest.raises(InvalidInputError, match="samples must be integers"):
         RasterImage(3, 2, (plane,))

@@ -90,8 +90,8 @@ def test_quant_table_validation():
 @pytest.mark.parametrize(
     "steps",
     [[3.7] * 64, [16] * 63 + [16.5], ["16"] * 64, [True] * 64, [16] * 63 + [True],
-     np.full(64, np.nan)],
-    ids=["fraction", "one-fraction", "string", "bool", "one-bool", "nan"],
+     np.full(64, np.nan), np.ones(64, dtype=bool)],
+    ids=["fraction", "one-fraction", "string", "bool", "one-bool", "nan", "bool-array"],
 )
 def test_quant_table_rejects_non_integer_steps(steps):
     with pytest.raises(InvalidInputError, match="steps must be integers"):
