@@ -65,22 +65,28 @@ def _plm_tables(stats_path):
     return luma, derive_plm_table(summary.deltas("chroma"))
 
 
+def _decimal(text):
+    # int() also reads "4_0", "+4", " 4", "04" and non-ASCII digits
+    value = int(text)
+    if str(value) != text:
+        raise InvalidInputError(f"{text!r} is not a plain decimal integer")
+    return value
+
+
 def _standard_tables(qf):
-    qf = int(qf)
     return standard_table(qf, "luma"), standard_table(qf, "chroma")
 
 
 def _rm_hf_tables(n):
-    n = int(n)
     return tuple(rm_hf_table(base, n) for base in _standard_tables(100))
 
 
 # --table kind -> builder of (luma, chroma or None) from the text after ":"
 _TABLE_SOURCES = {
     "plm": _plm_tables,
-    "standard-qf": _standard_tables,
-    "same-q": lambda q: (same_q_table(int(q)), None),
-    "rm-hf": _rm_hf_tables,
+    "standard-qf": lambda qf: _standard_tables(_decimal(qf)),
+    "same-q": lambda q: (same_q_table(_decimal(q)), None),
+    "rm-hf": lambda n: _rm_hf_tables(_decimal(n)),
     "file": lambda path: (load_table(path), None),
 }
 

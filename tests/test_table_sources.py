@@ -110,6 +110,18 @@ def test_bad_spec_message(spec, message):
         cli.resolve_table_source(spec)
 
 
+@pytest.mark.parametrize("spec", [
+    "same-q:4_0", "standard-qf: 9_0 ", "standard-qf:90 ", "rm-hf:+3", "same-q:\u0664",
+    "same-q:04", "rm-hf:-0",
+], ids=["underscore", "spaces-underscore", "trailing-space", "plus", "arabic-digit",
+        "leading-zero", "minus-zero"])
+def test_table_numbers_are_plain_decimals(spec):
+    # int() reads every one of these, so one table had several spellings
+    _, _, number = spec.partition(":")
+    with pytest.raises(InvalidInputError, match=re.escape(f"{number!r} is not a plain decimal")):
+        cli.resolve_table_source(spec)
+
+
 def design_table_parser():
     (sub,) = (a for a in cli.build_parser()._actions
               if isinstance(a, argparse._SubParsersAction))
@@ -141,6 +153,17 @@ def test_benchmark_rejects_a_repeated_table(tmp_path, capsys):
     assert captured.err == "error: --table same-q:4 is given more than once\n"
     assert captured.out == ""
     assert not csv_path.exists()
+
+
+def test_benchmark_rejects_a_second_spelling_of_a_table(tmp_path, capsys):
+    corpus = generate_corpus(tmp_path / "corpus", images_per_class=1, size=(16, 16))
+    code = cli.main(["benchmark", str(corpus), "--table", "same-q:4", "--table", "same-q:04"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: bad table source 'same-q:04': '04' is not a plain decimal integer\n"
+    )
+    assert captured.out == ""
 
 
 def test_file_with_provenance_that_is_not_an_object(tmp_path):
