@@ -21,7 +21,7 @@ from .errors import (
     InvalidInputError,
     SchemaVersionError,
 )
-from .quant import ZIGZAG_POSITION
+from .quant import ZIGZAG_POSITION, integers
 
 LUMA_ONLY = "luma"
 PER_CHANNEL = "per-channel"
@@ -204,6 +204,13 @@ def save_stats(summary, path):
         fh.write("\n")
 
 
+def _numbers(bands, field, channel):
+    values = [band[field] for band in bands]
+    if not all(type(v) in (int, float) for v in values):  # JSON numbers, not bools
+        raise InvalidInputError(f"channel {channel!r} band {field} values must be numbers")
+    return _frozen(values)
+
+
 def load_stats(path):
     with open(path) as fh:
         doc = json.load(fh)
@@ -213,18 +220,20 @@ def load_stats(path):
             raise SchemaVersionError(
                 f"stats schema version {version!r} is not {STATS_SCHEMA_VERSION}"
             )
+        if type(version) is not int:  # true and 1.0 compare equal to 1
+            raise InvalidInputError(f"stats schema_version {version!r} is not an integer")
         channels = {}
         for channel, bands in doc["channels"].items():
-            if sorted(int(k) for k in bands) != list(range(N_BANDS)):
+            if bands.keys() != {str(band) for band in range(N_BANDS)}:
                 raise InvalidInputError(f"channel {channel!r} does not cover bands 0..63")
             ordered = [bands[str(i)] for i in range(N_BANDS)]
-            counts = {int(b["count"]) for b in ordered}
+            counts = set(integers([b["count"] for b in ordered], "stats block counts"))
             if len(counts) != 1:
                 raise InvalidInputError(f"channel {channel!r} bands disagree on count")
             channels[channel] = (
                 counts.pop(),
-                _frozen([float(b["mean"]) for b in ordered]),
-                _frozen([float(b["stddev"]) for b in ordered]),
+                _numbers(ordered, "mean", channel),
+                _numbers(ordered, "stddev", channel),
             )
         summary = FrequencySummary(channels, doc.get("source_manifest_digest"))
         if doc["total_blocks"] != summary.total_blocks:
@@ -232,6 +241,7 @@ def load_stats(path):
                 f"total_blocks {doc['total_blocks']!r} is not the sum of the channel "
                 f"counts ({summary.total_blocks})"
             )
+        integers([doc["total_blocks"]], "stats block counts")  # 4.0 equals 4
         return summary
     except (AttributeError, KeyError, TypeError) as exc:
         # a missing field, or a field of the wrong type

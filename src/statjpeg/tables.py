@@ -202,6 +202,8 @@ def load_table(path):
             raise SchemaVersionError(
                 f"table schema version {version!r} is not {TABLE_SCHEMA_VERSION}"
             )
+        if type(version) is not int:  # true and 1.0 compare equal to 1
+            raise InvalidInputError(f"table schema_version {version!r} is not an integer")
         if doc.get("order") != "natural":
             raise InvalidInputError(f"unknown table order {doc.get('order')!r}")
         return QuantTable(doc["entries"], provenance=doc.get("provenance"))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,15 @@ from statjpeg.jpeg import decode_coefficients, encode_image
 from statjpeg.quant import zigzag
 from statjpeg.stats import load_stats
 from statjpeg.synth import generate_corpus, synth_image
-from statjpeg.tables import load_table, rm_hf_table, same_q_table, save_table
+from statjpeg.tables import (
+    PlmParams,
+    auto_thresholds,
+    derive_plm_table,
+    load_table,
+    rm_hf_table,
+    same_q_table,
+    save_table,
+)
 
 
 @pytest.fixture
@@ -63,6 +72,25 @@ def stats_file(mini_corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("stats") / "stats.json"
     assert main(["analyze", str(mini_corpus), "--out", str(out)]) == 0
     return out
+
+
+def stats_doc(stddevs):
+    """A luma-only stats document of 10 blocks with the given band spreads."""
+    return {
+        "schema_version": 1,
+        "channels": {"y": {
+            str(i): {"count": 10, "mean": 0.0, "stddev": stddev}
+            for i, stddev in enumerate(stddevs)
+        }},
+        "total_blocks": 10,
+        "source_manifest_digest": None,
+    }
+
+
+def set_every_count(doc, count, total_blocks):
+    for band in doc["channels"]["y"].values():
+        band["count"] = count
+    doc["total_blocks"] = total_blocks
 
 
 class TestDesignTable:
@@ -120,6 +148,52 @@ class TestDesignTable:
         bad.write_text(json.dumps(doc))
         assert main(["design-table", str(bad), "--out", str(tmp_path / "t.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: set_every_count(doc, 10.7, 10),
+        lambda doc: set_every_count(doc, "10", 10),
+        lambda doc: set_every_count(doc, True, 1),
+        lambda doc: doc["channels"]["y"]["5"].update(mean="1.5"),
+        lambda doc: doc["channels"]["y"]["5"].update(stddev=True),
+        lambda doc: doc.update(total_blocks=10.0),
+        lambda doc: doc.update(schema_version=True),
+        lambda doc: doc.update(schema_version=1.0),
+    ], ids=["count-fraction", "count-string", "count-bool", "mean-string", "stddev-bool",
+            "total-float", "version-bool", "version-float"])
+    def test_stats_field_of_the_wrong_type_exits_two(self, tmp_path, capsys, edit):
+        doc = stats_doc([64.0 - i for i in range(64)])
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text(json.dumps(doc))
+        load_stats(stats_path)  # the unedited document is valid
+        edit(doc)
+        stats_path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError):
+            load_stats(stats_path)
+        code = main(["design-table", str(stats_path), "--out", str(tmp_path / "t.json")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
+    def test_auto_thresholds_come_from_the_spread_ranking(self, stats_file, tmp_path):
+        out = tmp_path / "table.json"
+        code = main(["design-table", str(stats_file), "--auto-thresholds", "--out", str(out)])
+        assert code == 0
+        deltas = load_stats(stats_file).deltas("y")
+        t1, t2 = auto_thresholds(deltas)
+        assert (t1, t2) != (PlmParams().t1, PlmParams().t2)
+        want = derive_plm_table(deltas, replace(PlmParams(), t1=t1, t2=t2))
+        table = load_table(out)
+        assert table == want
+        assert table.provenance == want.provenance
+
+    def test_auto_thresholds_on_a_flat_profile_exit_two(self, tmp_path, capsys):
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text(json.dumps(stats_doc([5.0] * 64)))
+        out = tmp_path / "table.json"
+        code = main(["design-table", str(stats_path), "--auto-thresholds", "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_stats_file_exits_two(self, tmp_path):
         assert main(["design-table", str(tmp_path / "no.json"), "--out", "t.json"]) == 2

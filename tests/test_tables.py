@@ -232,6 +232,17 @@ class TestPersistence:
         with pytest.raises(SchemaVersionError):
             load_table(path)
 
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_schema_version_must_be_the_integer(self, tmp_path, version):
+        # true and 1.0 both compare equal to 1
+        path = tmp_path / "table.json"
+        save_table(same_q_table(4), path)
+        path.write_text(
+            path.read_text().replace('"schema_version": 1', f'"schema_version": {version}')
+        )
+        with pytest.raises(InvalidInputError, match="schema_version"):
+            load_table(path)
+
     def test_segmentation_type_shape(self):
         seg = segment_bands(np.ones(64), "position")
         assert isinstance(seg, BandSegmentation)
