@@ -4,7 +4,8 @@
 # script exits non-zero if any test fails or any run does not report
 # "correct": true.  The runs write their reports to .perfbench/ and change
 # nothing else.  Last, it prints the line count of each src/statjpeg module
-# and their total, so a change can quote its size before and after.
+# and their total, then that total beside the one at HEAD, so a change can
+# quote its size before and after.
 #
 #   scripts/verify.sh
 set -uo pipefail
@@ -32,6 +33,12 @@ PY
 done
 echo "src/statjpeg line counts:"
 wc -l src/statjpeg/*.py
+# the same total at HEAD, read through git show, for a before/after quote
+if head_total=$(git ls-tree --name-only HEAD src/statjpeg/ 2>/dev/null | grep '\.py$' |
+        while read -r path; do git show "HEAD:$path"; done | wc -l); then
+    echo "src/statjpeg total: $(cat src/statjpeg/*.py | wc -l) in the working tree," \
+        "$head_total at HEAD"
+fi
 if [ "$status" -ne 0 ]; then
     echo "verify: FAILED (see the failing step above)" >&2
 fi
