@@ -158,8 +158,9 @@ class TestDesignTable:
         lambda doc: doc.update(total_blocks=10.0),
         lambda doc: doc.update(schema_version=True),
         lambda doc: doc.update(schema_version=1.0),
+        lambda doc: doc["channels"]["y"].update(x=doc["channels"]["y"].pop("5")),
     ], ids=["count-fraction", "count-string", "count-bool", "mean-string", "stddev-bool",
-            "total-float", "version-bool", "version-float"])
+            "total-float", "version-bool", "version-float", "band-key-word"])
     def test_stats_field_of_the_wrong_type_exits_two(self, tmp_path, capsys, edit):
         doc = stats_doc([64.0 - i for i in range(64)])
         stats_path = tmp_path / "stats.json"
