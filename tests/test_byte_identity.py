@@ -4,7 +4,10 @@ The digests below were recorded from the encoder before its component
 layouts were made table-driven.  Each case covers one layout the encoder
 writes: grayscale (with and without a chroma table passed in), RGB with one
 table, RGB with two tables, RGB with a drop set, and an odd size whose
-edge blocks are padded.
+edge blocks are padded.  Two more span several strips of the encoder's
+pixel path: an RGB image with two tables and a drop set whose last strip
+is partial and padded, and a gray image one block wide, the width at which
+a batched DCT product changes bits.
 
 The statistics digests were recorded before the band statistics became
 plain arrays.  They cover the ``analyze`` JSON and CSV in both channel
@@ -46,6 +49,8 @@ CASES = {
     "rgb-drop": (image("speckle", 40, 48, True), (RM_LUMA, RM_CHROMA)),
     "rgb-odd-17x9": (image("gradients", 9, 17, True), (LUMA, CHROMA)),
     "gray-odd-17x9": (image("gradients", 9, 17, False), (LUMA,)),
+    "rgb-strips-530x139": (image("stripes", 139, 530, True), (RM_LUMA, CHROMA)),
+    "gray-tall-7x1000": (image("gradients", 1000, 7, False), (LUMA,)),
 }
 
 # name -> (SHA-256 of the file, SHA-256 of the decoded geometry and planes)
@@ -62,6 +67,10 @@ RECORDED = {
         "c7d13b8ed8a3312b67c054520a878ae73800b81fd2df6ac6feb5df23de26223a",
         "61709bb8ab7f0f20b7de87f48c6ed8220063955e026ab833fe112bccc2f809ff",
     ),
+    "gray-tall-7x1000": (
+        "849f9e82f7a6691ac1ebc2d12fba90e4b50239b0fade6af5efeb038ddcba1caa",
+        "1e185d0dd712228575dbed8776e7054211864e09888ad1379f2c9f5fe2fc6105",
+    ),
     "rgb-drop": (
         "30858411d162658d7e8b5aee88fe97efc4587ca1c37718387fcf10ca58ee176b",
         "5114588e0906647446ecf55ff6a95c0090a4432e2786a2dd88578234c157305b",
@@ -73,6 +82,10 @@ RECORDED = {
     "rgb-single-table": (
         "b8f6aaafc77de528576ec32d56aba63349adf41a611b0de3ebe31d241a580b3c",
         "c789b7016857fcef65b63aaca2b705adf582874753516f04c3bc6f0fe106d7db",
+    ),
+    "rgb-strips-530x139": (
+        "d748073eb32f5659d9faa6fc335a05ead3d71b924c591f996f848774a3bd199e",
+        "e9b56f1b3dc8c5907198130ba111e848216cad07f3a1d4d6989e155d8bbe69c6",
     ),
     "rgb-two-tables": (
         "cedbc1bd38b76d6407391605ba0a75950a908ffab6997c01f698cecf988e295a",
@@ -122,6 +135,18 @@ def test_statistics_outputs_match_recorded(tmp_path):
         assert cli.main(argv) == 0
         digests[f"design-table-{channel}"] = hashlib.sha256(table.read_bytes()).hexdigest()
     assert digests == RECORDED_STATS
+
+
+# per-channel ``analyze`` JSON over one 530x139 image per class
+RECORDED_MULTI_STRIP_STATS = "fea75240c5d675d2b257537c9fe3552a3634a23318897965e926940f760f5198"
+
+
+def test_multi_strip_statistics_match_recorded(tmp_path):
+    corpus = generate_corpus(tmp_path / "corpus", images_per_class=1, size=(139, 530))
+    stats = tmp_path / "stats.json"
+    argv = ["analyze", str(corpus), "--channel-mode", "per-channel", "--out", str(stats)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(stats.read_bytes()).hexdigest() == RECORDED_MULTI_STRIP_STATS
 
 
 # benchmark output -> SHA-256 of its bytes; the JSON without its "corpus"
