@@ -230,8 +230,13 @@ def load_stats(path):
             counts = set(integers([b["count"] for b in ordered], "stats block counts"))
             if len(counts) != 1:
                 raise InvalidInputError(f"channel {channel!r} bands disagree on count")
+            count = counts.pop()
+            if count < 2:  # finalize never writes fewer
+                raise InvalidInputError(
+                    f"channel {channel!r} has only {count} blocks; need at least 2"
+                )
             channels[channel] = (
-                counts.pop(),
+                count,
                 _numbers(ordered, "mean", channel),
                 _numbers(ordered, "stddev", channel),
             )

@@ -175,6 +175,20 @@ class TestDesignTable:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("count", [1, 0, -4])
+    def test_stats_channel_below_two_blocks_exits_two(self, tmp_path, capsys, count):
+        # finalize refuses such a channel, so a file that holds one was not written by it
+        doc = stats_doc([64.0 - i for i in range(64)])
+        set_every_count(doc, count, count)
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=f"has only {count} blocks; need at least 2"):
+            load_stats(stats_path)
+        code = main(["design-table", str(stats_path), "--out", str(tmp_path / "t.json")])
+        assert code == 2
+        assert "need at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
     def test_auto_thresholds_come_from_the_spread_ranking(self, stats_file, tmp_path):
         out = tmp_path / "table.json"
         code = main(["design-table", str(stats_file), "--auto-thresholds", "--out", str(out)])
