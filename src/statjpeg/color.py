@@ -13,16 +13,15 @@ from .image import RasterImage
 
 
 def _round_clamp(plane):
-    """Round half away from zero, clamp to [0, 255] and cast to uint8.
+    """Round half away from zero and clamp to [0, 255], in place.
 
-    Overwrites the float64 ``plane``.  For every input the rounding and the
+    Returns the float64 ``plane``.  For every input the rounding and the
     clamp together equal clip(floor(x + 0.5), 0, 255): the two roundings
     differ only below zero, where both clamp to 0.
     """
     np.add(plane, 0.5, out=plane)
     np.floor(plane, out=plane)
-    np.clip(plane, 0, 255, out=plane)
-    return plane.astype(np.uint8)
+    return np.clip(plane, 0, 255, out=plane)
 
 
 def _buffers(n, *arrays):
@@ -89,17 +88,25 @@ def ycbcr_to_rgb(y, cb, cr):
     return r[()], g[()], b[()]
 
 
+def ycbcr_samples(r, g, b):
+    """Rounded, clamped Y, Cb, Cr as float64: the uint8 samples, exactly."""
+    return [_round_clamp(plane) for plane in rgb_to_ycbcr(r, g, b)]
+
+
+def rgb_samples(y, cb, cr):
+    """Rounded, clamped R, G, B as float64: the uint8 samples, exactly."""
+    return [_round_clamp(plane) for plane in ycbcr_to_rgb(y, cb, cr)]
+
+
 def color_convert_forward(img):
     """Split an RGB image into rounded, clamped Y, Cb, Cr uint8 planes."""
     if img.channels != 3:
         raise InvalidInputError(f"expected a 3-channel image, got {img.channels}")
-    y, cb, cr = rgb_to_ycbcr(*img.planes)
-    return _round_clamp(y), _round_clamp(cb), _round_clamp(cr)
+    return tuple(plane.astype(np.uint8) for plane in ycbcr_samples(*img.planes))
 
 
 def color_convert_inverse(y, cb, cr):
     """Rebuild an RGB :class:`RasterImage` from uint8 Y, Cb, Cr planes."""
-    r, g, b = ycbcr_to_rgb(y, cb, cr)
-    planes = (_round_clamp(r), _round_clamp(g), _round_clamp(b))
+    planes = tuple(plane.astype(np.uint8) for plane in rgb_samples(y, cb, cr))
     h, w = planes[0].shape
     return RasterImage(w, h, planes)

@@ -35,3 +35,22 @@ def inverse_dct(coeffs):
     """Exact adjoint of :func:`forward_dct`; returns real-valued samples."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     return _BASIS.T @ coeffs @ _BASIS
+
+
+def forward_dct_rows(samples):
+    """Transform every block of an (8k, 8m) strip, keeping its row layout.
+
+    Equals :func:`forward_dct` per block, bit for bit (tests/test_dct.py).
+    The second product must stay one 2-D product: a batched (..., m, 8)
+    one changes bits at m = 1.
+    """
+    height, width = samples.shape
+    cols = _BASIS @ samples.reshape(height // BLOCK_SIZE, BLOCK_SIZE, width)
+    return (cols.reshape(-1, BLOCK_SIZE) @ _BASIS_T).reshape(height, width)
+
+
+def inverse_dct_rows(coeffs):
+    """Exact adjoint of :func:`forward_dct_rows`; equals :func:`inverse_dct` per block."""
+    height, width = coeffs.shape
+    cols = _BASIS.T @ coeffs.reshape(height // BLOCK_SIZE, BLOCK_SIZE, width)
+    return (cols.reshape(-1, BLOCK_SIZE) @ _BASIS).reshape(height, width)

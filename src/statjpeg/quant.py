@@ -1,5 +1,10 @@
-"""Quantization tables, coefficient quantization, and the zig-zag scan."""
+"""Quantization tables, coefficient quantization, and the zig-zag scan.
 
+The codec quantizes strips in the plane's row layout (``*_strip``); the
+other functions take ``(..., 8, 8)`` blocks or ``(..., 64)`` vectors.
+"""
+
+import functools
 import numbers
 import operator
 from collections.abc import Mapping
@@ -129,6 +134,64 @@ def quantize(coeffs, table):
 def dequantize(qblock, table):
     """Approximate coefficients as c' * q."""
     return np.multiply(qblock, table.grid(), dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=8)
+def _strip_gather(block_rows, block_cols):
+    """Flat indices between a strip's row layout and its zig-zag rows.
+
+    For an ``(8k, 8m)`` strip of k x m blocks, ``strip.ravel()[scan_index]``
+    is the ``(k * m, 64)`` zig-zag scan of its blocks in raster order, and
+    ``scan.ravel()[row_index]`` is the strip again.
+    """
+    u, v = np.divmod(ZIGZAG_INDEX, 8)
+    width = 8 * block_cols
+    i = np.arange(block_rows)[:, None, None]
+    j = np.arange(block_cols)[None, :, None]
+    scan_index = ((8 * i + u) * width + 8 * j + v).reshape(-1, 64)
+    row_index = np.empty(scan_index.size, dtype=np.intp)
+    row_index[scan_index.ravel()] = np.arange(scan_index.size)
+    row_index = row_index.reshape(8 * block_rows, width)
+    scan_index.setflags(write=False)
+    row_index.setflags(write=False)
+    return scan_index, row_index
+
+
+def _strip_steps(table, width):
+    """The steps as float64 rows 8 x ``width``: the grid repeated per block."""
+    steps = np.empty((8, width // 8, 8))
+    steps[...] = table.grid()[:, None, :]
+    return steps.reshape(8, width)
+
+
+def quantize_strip(coeffs, table, out):
+    """Quantize an ``(8k, 8m)`` strip of coefficients into zig-zag rows.
+
+    Writes the strip's k * m blocks as int32 rows to the start of ``out``,
+    equal to ``zigzag(quantize(blocks, table))`` of the same blocks.
+    ``coeffs`` (float64, row layout) is overwritten.
+    """
+    height, width = coeffs.shape
+    scan_index, _ = _strip_gather(height // 8, width // 8)
+    scaled = coeffs.reshape(height // 8, 8, width)
+    scaled /= _strip_steps(table, width)
+    scaled += np.copysign(0.5, scaled)  # as in quantize
+    rows = out[:len(scan_index)]
+    np.take(scaled.astype(np.int32), scan_index, out=rows, mode="clip")  # unbuffered
+    if table._drop.size:
+        rows[:, ZIGZAG_POSITION[table._drop]] = 0
+
+
+def dequantize_strip(scan, table, block_rows):
+    """Zig-zag rows of a strip ``block_rows`` blocks tall -> dequantized
+    float64 coefficients in the strip's row layout."""
+    _, row_index = _strip_gather(block_rows, len(scan) // block_rows)
+    natural = np.take(scan, row_index)
+    height, width = natural.shape
+    coeffs = np.multiply(
+        natural.reshape(block_rows, 8, width), _strip_steps(table, width), dtype=np.float64
+    )
+    return coeffs.reshape(height, width)
 
 
 def zigzag(natural):

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import partition_blocks
-from .color import color_convert_forward
-from .dct import forward_dct
+from .blocks import block_grid, sample_strips
+from .dct import BLOCK_SIZE, forward_dct_rows
 from .errors import (
     EmptySampleWarning,
     InsufficientDataError,
@@ -22,6 +21,12 @@ from .errors import (
     SchemaVersionError,
 )
 from .quant import ZIGZAG_POSITION, integers
+
+# perfbench/spans.py wraps these layer functions in this module by name, so
+# they stay imported here although the strip pipeline no longer calls them.
+from .blocks import partition_blocks  # noqa: F401
+from .color import color_convert_forward  # noqa: F401
+from .dct import forward_dct  # noqa: F401
 
 LUMA_ONLY = "luma"
 PER_CHANNEL = "per-channel"
@@ -83,16 +88,14 @@ class FrequencyStats:
         }
 
     def _channel_planes(self, img):
+        """Channel -> indices of its Y, Cb, Cr (or gray) components."""
         if self.channel_mode == LUMA_ONLY:
-            if img.channels == 3:
-                return {"y": [color_convert_forward(img)[0]]}
-            return {"y": [img.planes[0]]}
+            return {"y": [0]}
         if img.channels != 3:
             raise InvalidInputError(
                 "per-channel statistics need 3-channel images"
             )
-        y, cb, cr = color_convert_forward(img)
-        return {"y": [y], "chroma": [cb, cr]}
+        return {"y": [0], "chroma": [1, 2]}
 
     def _merge_moments(self, channel, count, mean, m2):
         """Fold (count, mean[64], m2[64]) into a channel (Chan et al.'s
@@ -110,10 +113,24 @@ class FrequencyStats:
         )
 
     def accumulate_image(self, img):
-        """Fold every 8x8 block's un-quantized DCT coefficients in."""
-        for channel, planes in self._channel_planes(img).items():
-            for plane in planes:
-                coeffs = forward_dct(partition_blocks(plane)).reshape(-1, N_BANDS)
+        """Fold every 8x8 block's un-quantized DCT coefficients in.
+
+        Strips fill one (n_blocks, 64) array per component; each is folded whole.
+        """
+        channels = self._channel_planes(img)
+        rows, cols = block_grid(img.width, img.height)
+        blocks = {i: np.empty((rows * cols, N_BANDS)) for planes in channels.values()
+                  for i in planes}
+        for first, strips in sample_strips(img):
+            for i, coeffs in blocks.items():
+                strip = forward_dct_rows(strips[i])
+                k = strip.shape[0] // BLOCK_SIZE
+                coeffs[first:first + k * cols].reshape(k, cols, 8, 8)[...] = (
+                    strip.reshape(k, 8, cols, 8).transpose(0, 2, 1, 3)
+                )
+        for channel, planes in channels.items():
+            for i in planes:
+                coeffs = blocks[i]
                 mean = coeffs.mean(axis=0)
                 coeffs -= mean
                 m2 = np.square(coeffs, out=coeffs).sum(axis=0)

@@ -17,6 +17,9 @@ The benchmark digests were recorded before the table sources became one
 registry.  They cover ``benchmark --csv``, its printed summary and its
 ``--json`` over every table-source kind, ``plm:`` on luma-only and on
 per-channel stats included.
+
+Every digest is checked again with the pixel path's strips 8 rows tall
+and with one strip per image, so the strip height cannot change a bit.
 """
 
 import hashlib
@@ -25,7 +28,7 @@ import json
 import numpy as np
 import pytest
 
-from statjpeg import cli
+from statjpeg import blocks, cli
 from statjpeg.jpeg import decode_image, encode_image
 from statjpeg.synth import generate_corpus, synth_image
 from statjpeg.tables import rm_hf_table, same_q_table, save_table, standard_table
@@ -179,3 +182,28 @@ def test_benchmark_outputs_match_recorded(tmp_path, monkeypatch, capsys):
         "json": summary.replace(corpus_line, "").encode(),
     }
     assert {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()} == RECORDED_BENCHMARK
+
+
+# the pixel path's strip size in samples, patched: one block row per
+# strip, and one strip per image
+STRIP_HEIGHTS = pytest.mark.parametrize(
+    "strip_samples", [1, 1 << 40], ids=["8-rows", "one-strip"]
+)
+
+
+@STRIP_HEIGHTS
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bytes_and_pixels_hold_at_any_strip_height(monkeypatch, name, strip_samples):
+    monkeypatch.setattr(blocks, "_STRIP_SAMPLES", strip_samples)
+    test_bytes_and_pixels_match_recorded(name)
+
+
+@STRIP_HEIGHTS
+def test_statistics_and_benchmark_hold_at_any_strip_height(
+    tmp_path, monkeypatch, capsys, strip_samples
+):
+    monkeypatch.setattr(blocks, "_STRIP_SAMPLES", strip_samples)
+    test_statistics_outputs_match_recorded(tmp_path / "stats")
+    test_multi_strip_statistics_match_recorded(tmp_path / "multi-strip")
+    (tmp_path / "benchmark").mkdir()
+    test_benchmark_outputs_match_recorded(tmp_path / "benchmark", monkeypatch, capsys)

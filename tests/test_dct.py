@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statjpeg.dct import _BASIS, forward_dct, inverse_dct
+from statjpeg.dct import _BASIS, forward_dct, forward_dct_rows, inverse_dct, inverse_dct_rows
 
 
 def direct_dct_oracle(block):
@@ -86,3 +86,34 @@ def test_forward_equals_transposed_view_form(shape, seed, pixels):
         block = rng.uniform(-1e3, 1e3, size=shape)
     expected = _BASIS @ block @ _BASIS.T
     np.testing.assert_array_equal(forward_dct(block), expected, strict=True)
+
+
+def strip_blocks(strip):
+    """The (n, 8, 8) blocks of an (8k, 8m) strip in raster order."""
+    k, m = strip.shape[0] // 8, strip.shape[1] // 8
+    return strip.reshape(k, 8, m, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
+
+
+@settings(max_examples=60)
+@given(
+    block_rows=st.integers(1, 9),
+    block_cols=st.one_of(st.integers(1, 17), st.sampled_from([31, 64, 65, 512])),
+    seed=st.integers(0, 2**32 - 1),
+    pixels=st.booleans(),
+)
+def test_strip_transforms_equal_block_transforms(block_rows, block_cols, seed, pixels):
+    # The codec transforms strips in row layout; every block must keep the
+    # bits the block functions give it, at every width including one block.
+    rng = np.random.default_rng(seed)
+    shape = (8 * block_rows, 8 * block_cols)
+    if pixels:
+        strip = rng.integers(0, 256, size=shape).astype(np.float64) - 128
+    else:
+        strip = rng.uniform(-1e3, 1e3, size=shape)
+    blocks = strip_blocks(strip)
+    np.testing.assert_array_equal(
+        strip_blocks(forward_dct_rows(strip)), forward_dct(blocks), strict=True
+    )
+    np.testing.assert_array_equal(
+        strip_blocks(inverse_dct_rows(strip)), inverse_dct(blocks), strict=True
+    )

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import entropy_oracle as oracle
 from conftest import random_quantized_blocks
 from statjpeg import huffman
-from statjpeg.color import color_convert_forward
 from statjpeg.errors import CorruptStreamError, StatJpegError
 from statjpeg.huffman import (
     AC_CHROMA,
@@ -26,7 +25,7 @@ from statjpeg.huffman import (
     entropy_decode,
     entropy_encode,
 )
-from statjpeg.jpeg import _plane_to_scan_blocks
+from statjpeg.jpeg import _scan_blocks
 from statjpeg.synth import synth_image
 from statjpeg.tables import standard_table
 
@@ -476,7 +475,7 @@ def test_cut_after_window_boundary_matches_oracle(monkeypatch, window_bytes):
 def test_qf100_scan_across_windows_round_trips(monkeypatch):
     img = synth_image("speckle", np.random.default_rng(3), 512, 512)
     table = standard_table(100, "luma")
-    comps = [_plane_to_scan_blocks(plane, table) for plane in color_convert_forward(img)]
+    comps = _scan_blocks(img, [table] * 3)
     data = entropy_encode(comps, DC_TABLES, AC_TABLES)
     starts = window_starts(monkeypatch, data, 4096, (DC_TABLES, AC_TABLES))
     assert len(starts) >= 3

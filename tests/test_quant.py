@@ -6,8 +6,10 @@ from statjpeg.quant import (
     QuantTable,
     ZIGZAG_INDEX,
     dequantize,
+    dequantize_strip,
     inverse_zigzag,
     quantize,
+    quantize_strip,
     zigzag,
 )
 
@@ -132,3 +134,27 @@ def test_quantize_stores_the_drop_set_as_zero(rng):
     got = zigzag(quantize(coeffs, dropped).reshape(-1, 64))
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(zigzag(quantize(coeffs[0], dropped).reshape(64)), want[0])
+
+
+def to_rows(blocks, block_rows):
+    """(k * m, 8, 8) raster-order blocks -> the (8k, 8m) strip they tile."""
+    m = len(blocks) // block_rows
+    return blocks.reshape(block_rows, m, 8, 8).transpose(0, 2, 1, 3).reshape(
+        8 * block_rows, 8 * m)
+
+
+@pytest.mark.parametrize("block_rows, block_cols", [(1, 1), (1, 5), (3, 1), (2, 7)])
+def test_strip_quantization_equals_block_quantization(rng, block_rows, block_cols):
+    # row layout in, zig-zag rows out, with a drop set and halves to round
+    blocks = rng.integers(-600, 600, size=(block_rows * block_cols, 8, 8)) * 0.5
+    table = QuantTable(rng.integers(1, 256, size=64), provenance={"drop_zigzag": [3, 62]})
+    want = zigzag(quantize(blocks, table).reshape(-1, 64))
+    out = np.full((len(blocks) + 2, 64), 7, dtype=np.int32)
+    quantize_strip(to_rows(blocks, block_rows), table, out)
+    np.testing.assert_array_equal(out[:len(blocks)], want, strict=True)
+    assert (out[len(blocks):] == 7).all()  # rows past the strip stay as they were
+    np.testing.assert_array_equal(
+        dequantize_strip(want, table, block_rows),
+        to_rows(dequantize(inverse_zigzag(want).reshape(-1, 8, 8), table), block_rows),
+        strict=True,
+    )
