@@ -3,9 +3,11 @@
 # seed-0 run of every workload in BENCHMARK.json.  Every step runs; the
 # script exits non-zero if any test fails or any run does not report
 # "correct": true.  The runs write their reports to .perfbench/ and change
-# nothing else.  Last, it prints the line count of each src/statjpeg module
-# and their total, then that total beside the one at HEAD, so a change can
-# quote its size before and after.
+# nothing else.  Then scripts/rss_probe.py reports the peak memory and time
+# of one 4096x4096 encode, decode and accumulate; it never fails the check.
+# Last, it prints the line count of each src/statjpeg module and their
+# total, then that total beside the one at HEAD, so a change can quote its
+# size before and after.
 #
 #   scripts/verify.sh
 set -uo pipefail
@@ -31,6 +33,7 @@ print(f"{workload}: correct {str(result['correct']).lower()}, "
 sys.exit(0 if result["correct"] is True else 1)
 PY
 done
+python3 scripts/rss_probe.py || echo "rss_probe: failed; not counted against this check" >&2
 echo "src/statjpeg line counts:"
 wc -l src/statjpeg/*.py
 # the same total at HEAD, read through git show, for a before/after quote

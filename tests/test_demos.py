@@ -23,3 +23,17 @@ def test_demo_exits_zero(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_rss_probe_reports_every_step(tmp_path):
+    # scripts/verify.sh runs it at 4096x4096; a small image checks the plumbing
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    probe = ROOT / "scripts" / "rss_probe.py"
+    result = subprocess.run(
+        [sys.executable, str(probe), "--size", "40"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    steps = [line.split()[0] for line in result.stdout.splitlines()[1:]]
+    assert steps == ["encode", "decode", "accumulate"]
+    assert list(tmp_path.iterdir()) == []
