@@ -149,9 +149,7 @@ def _strip_gather(block_rows, block_cols):
     i = np.arange(block_rows)[:, None, None]
     j = np.arange(block_cols)[None, :, None]
     scan_index = ((8 * i + u) * width + 8 * j + v).reshape(-1, 64)
-    row_index = np.empty(scan_index.size, dtype=np.intp)
-    row_index[scan_index.ravel()] = np.arange(scan_index.size)
-    row_index = row_index.reshape(8 * block_rows, width)
+    row_index = np.argsort(scan_index, axis=None).reshape(8 * block_rows, width)
     scan_index.setflags(write=False)
     row_index.setflags(write=False)
     return scan_index, row_index

@@ -2,18 +2,23 @@
 
 Every kernel must return what the reference formula in ``pixel_oracle``
 returns: the same dtype, shape and values, down to the sign of a zero.
+The codec's strip pipeline must match those kernels run over whole planes.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pixel_oracle as oracle
-from statjpeg import blocks, color, quant
+from statjpeg import blocks, color, jpeg, quant
+from statjpeg.dct import forward_dct, inverse_dct
 from statjpeg.image import RasterImage
-from statjpeg.quant import QuantTable
+from statjpeg.quant import QuantTable, inverse_zigzag, zigzag
+from statjpeg.stats import LUMA_ONLY, PER_CHANNEL, FrequencyStats
 
 
 def assert_identical(got, want):
@@ -151,3 +156,55 @@ def test_color_convert(data):
     want = oracle.color_convert_inverse(*planes)
     for got_plane, want_plane in zip(got.planes, want.planes):
         assert_identical(got_plane, want_plane)
+
+
+STEPS = hnp.arrays(np.int64, 64, elements=st.integers(1, 255))
+
+
+@settings(max_examples=40)
+@given(
+    data=st.data(),
+    channels=st.sampled_from([1, 3]),
+    # one block row per strip, a few rows, one strip per image
+    strip_samples=st.sampled_from([1, 300, 1 << 40]),
+)
+def test_strip_pipeline_matches_whole_plane_reference(data, channels, strip_samples):
+    height, width = data.draw(st.tuples(st.integers(1, 70), st.integers(1, 40)))
+    img = RasterImage(width, height, tuple(
+        data.draw(hnp.arrays(np.uint8, (height, width))) for _ in range(channels)
+    ))
+    drop = sorted(set(data.draw(st.lists(st.integers(0, 63), max_size=5))))
+    luma = QuantTable(data.draw(STEPS), provenance={"drop_zigzag": drop})
+    chroma = QuantTable(data.draw(STEPS))
+    tables = [luma, chroma, chroma][:channels]
+    planes = img.planes if channels == 1 else oracle.color_convert_forward(img)
+    coeffs = [forward_dct(oracle.partition_blocks(plane)) for plane in planes]
+    want_scans = [zigzag(oracle.quantize(c, t).reshape(-1, 64)) for c, t in zip(coeffs, tables)]
+    want_scans[0][:, drop] = 0
+    want_pixels = [
+        oracle.assemble_plane(
+            inverse_dct(oracle.dequantize(inverse_zigzag(scan).reshape(-1, 8, 8), table)),
+            width, height,
+        )
+        for scan, table in zip(want_scans, tables)
+    ]
+    if channels == 3:
+        want_pixels = oracle.color_convert_inverse(*want_pixels).planes
+    mode = PER_CHANNEL if channels == 3 else LUMA_ONLY
+    want_stats = FrequencyStats(mode)
+    for channel, plane_coeffs in zip(("y", "chroma", "chroma"), coeffs):
+        c = plane_coeffs.reshape(-1, 64)
+        mean = c.mean(axis=0)
+        want_stats._merge_moments(channel, len(c), mean, ((c - mean) ** 2).sum(axis=0))
+
+    with mock.patch.object(blocks, "_STRIP_SAMPLES", strip_samples):
+        scans = jpeg._scan_blocks(img, tables)
+        decoded = jpeg.decode_image(jpeg.encode_image(img, luma, chroma))
+        stats = FrequencyStats(mode).accumulate_image(img)
+    for got, want in zip(scans, want_scans):
+        assert_identical(got, want)
+    for got, want in zip(decoded.planes, want_pixels):
+        assert_identical(got, want)
+    for channel, moments in want_stats.moments.items():
+        for got, want in zip(stats.moments[channel], moments):
+            np.testing.assert_array_equal(got, want, strict=True)
