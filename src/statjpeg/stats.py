@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import block_grid, sample_strips
-from .dct import BLOCK_SIZE, forward_dct_rows
+from .dct import forward_dct_rows
 from .errors import (
     EmptySampleWarning,
     InsufficientDataError,
@@ -124,7 +124,7 @@ class FrequencyStats:
         for first, strips in sample_strips(img):
             for i, coeffs in blocks.items():
                 strip = forward_dct_rows(strips[i])
-                k = strip.shape[0] // BLOCK_SIZE
+                k = strip.shape[0] // 8
                 coeffs[first:first + k * cols].reshape(k, cols, 8, 8)[...] = (
                     strip.reshape(k, 8, cols, 8).transpose(0, 2, 1, 3)
                 )
