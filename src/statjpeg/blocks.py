@@ -6,7 +6,7 @@ libjpeg runs over iMCU rows, each kept in the plane's own row layout.
 
 import numpy as np
 
-from .color import ycbcr_samples
+from .color import luma_samples, ycbcr_samples
 from .dct import BLOCK_SIZE
 from .errors import InvalidInputError
 
@@ -27,24 +27,27 @@ def strip_bounds(width, height):
     return [(top, min(top + step, height)) for top in range(0, height, step)]
 
 
-def sample_strips(img):
+def sample_strips(img, count):
     """Yield ``(first block, strips)`` for each strip of an image.
 
-    ``strips`` holds one ``(8k, 8m)`` float64 array per component (Y, Cb,
-    Cr or gray), shifted by -128 and padded as :func:`partition_blocks`
-    pads.  ``first block`` is the raster index of the strip's first block.
+    ``strips`` holds one ``(8k, 8m)`` float64 array for each of the first
+    ``count`` components (Y, Cb, Cr or gray), shifted by -128 and padded as
+    :func:`partition_blocks` pads; at ``count`` 1 an RGB strip converts
+    only Y.  ``first block`` is the raster index of the strip's first block.
     """
     cols = block_grid(img.width, img.height)[1]
     pad_w = cols * BLOCK_SIZE - img.width
     for top, stop in strip_bounds(img.width, img.height):
         rows = [plane[top:stop] for plane in img.planes]
-        if img.channels == 3:
-            samples = ycbcr_samples(*rows)
-        else:
+        if img.channels == 1:
             samples = [rows[0].astype(np.float64)]
+        elif count == 1:
+            samples = [luma_samples(*rows)]
+        else:
+            samples = ycbcr_samples(*rows)
         pad_h = -(stop - top) % BLOCK_SIZE
         strips = []
-        for strip in samples:
+        for strip in samples[:count]:
             strip -= 128.0
             if pad_h or pad_w:
                 strip = np.pad(strip, ((0, pad_h), (0, pad_w)), mode="edge")

@@ -68,6 +68,18 @@ def rgb_to_ycbcr(r, g, b):
     return y[()], cb[()], cr[()]
 
 
+def luma_samples(r, g, b):
+    """Rounded, clamped Y alone as float64: ``ycbcr_samples(r, g, b)[0]``."""
+    # rgb_to_ycbcr's Y products and sums, in its order
+    y, term = _buffers(2, r, g, b)
+    np.multiply(0.299, r, out=y, dtype=np.float64)
+    np.multiply(0.587, g, out=term, dtype=np.float64)
+    np.add(y, term, out=y)
+    np.multiply(0.114, b, out=term, dtype=np.float64)
+    np.add(y, term, out=y)
+    return _round_clamp(y)
+
+
 def ycbcr_to_rgb(y, cb, cr):
     """Convert float Y, Cb, Cr arrays to float R, G, B (not yet rounded)."""
     r, g, b, cr_s = _buffers(4, y, cb, cr)

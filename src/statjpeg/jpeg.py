@@ -47,7 +47,7 @@ def _scan_blocks(img, tables):
     """
     rows, cols = block_grid(img.width, img.height)
     scans = [np.empty((rows * cols, 64), dtype=np.int32) for _ in tables]
-    for first, strips in sample_strips(img):
+    for first, strips in sample_strips(img, len(tables)):
         for strip, table, scan in zip(strips, tables, scans):
             quantize_strip(forward_dct_rows(strip), table, scan[first:])
     return scans

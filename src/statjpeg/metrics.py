@@ -4,11 +4,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import partition_blocks
-from .color import color_convert_forward
-from .dct import forward_dct
+from . import jpeg
+from .blocks import sample_strips
+from .color import luma_samples
+from .dct import forward_dct_rows
 from .errors import InvalidInputError
-from .quant import quantize, round_half_away
+from .quant import ZIGZAG_POSITION, integers, round_half_away
+
+# perfbench/spans.py wraps these layer functions in this module by name, so
+# they stay imported here although the strip pipeline no longer calls them.
+from .blocks import partition_blocks  # noqa: F401
+from .color import color_convert_forward  # noqa: F401
+from .dct import forward_dct  # noqa: F401
+from .quant import quantize  # noqa: F401
 
 
 def compression_rate(reference_bytes, candidate_bytes):
@@ -34,7 +42,7 @@ class QualityReport:
 
 def _luma_plane(img):
     if img.channels == 3:
-        return color_convert_forward(img)[0]
+        return luma_samples(*img.planes)
     return img.planes[0]
 
 
@@ -67,26 +75,24 @@ class SparsityReport:
 def coefficient_sparsity(img, table):
     """Quantize the luma plane with ``table`` and count zeroed AC bands.
 
-    ``quantize`` applies the table's drop set as the encoder does, so the
+    The blocks are the encoder's own luma scan, drop set included, so the
     figures describe what the file stores.
     """
-    plane = _luma_plane(img)
-    blocks = partition_blocks(plane)
-    quantized = quantize(forward_dct(blocks), table).reshape(-1, 64)
-    zeros = quantized == 0
+    zeros = jpeg._scan_blocks(img, [table])[0][:, ZIGZAG_POSITION[1:]] == 0
     return SparsityReport(
-        zero_fraction=float(zeros[:, 1:].mean()),
-        per_band=tuple(float(f) for f in zeros[:, 1:].mean(axis=0)),
+        zero_fraction=float(zeros.mean()),
+        per_band=tuple(float(f) for f in zeros.mean(axis=0)),
     )
 
 
 def band_coefficients(img, band):
     """Un-quantized DCT coefficients of one natural-order band (luma plane)."""
+    (band,) = integers([band], "band index")
     if not 0 <= band <= 63:
         raise InvalidInputError(f"band index must be in [0, 63], got {band}")
-    plane = _luma_plane(img)
-    coeffs = forward_dct(partition_blocks(plane)).reshape(-1, 64)
-    return coeffs[:, band]
+    u, v = divmod(band, 8)
+    strips = sample_strips(img, 1)
+    return np.concatenate([forward_dct_rows(y)[u::8, v::8].ravel() for _, (y,) in strips])
 
 
 def histogram(values, bin_width):
@@ -95,12 +101,15 @@ def histogram(values, bin_width):
     Bin k covers [(k - 0.5) * w, (k + 0.5) * w) by half-away rounding of
     value / w, so symmetric data yields a symmetric histogram.
     """
-    if bin_width <= 0:
-        raise InvalidInputError(f"bin width must be positive, got {bin_width}")
+    if not 0 < bin_width < np.inf:  # NaN fails too
+        raise InvalidInputError(f"bin width must be positive and finite, got {bin_width}")
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.size == 0:
         raise InvalidInputError("cannot histogram an empty selection")
-    idx = round_half_away(values / bin_width).astype(np.int64)
-    centers, counts = np.unique(idx, return_counts=True)
+    with np.errstate(over="ignore"):
+        bins = round_half_away(values / bin_width)
+    if not (np.abs(bins) < 2.0**63).all():  # NaN and inf fail too
+        raise InvalidInputError("histogram values must be finite, within 2**63 bins of 0")
+    centers, counts = np.unique(bins.astype(np.int64), return_counts=True)
     return [(float(c * bin_width), int(n)) for c, n in zip(centers, counts)]
 

@@ -121,7 +121,7 @@ class FrequencyStats:
         rows, cols = block_grid(img.width, img.height)
         blocks = {i: np.empty((rows * cols, N_BANDS)) for planes in channels.values()
                   for i in planes}
-        for first, strips in sample_strips(img):
+        for first, strips in sample_strips(img, len(blocks)):
             for i, coeffs in blocks.items():
                 strip = forward_dct_rows(strips[i])
                 k = strip.shape[0] // 8

@@ -130,6 +130,17 @@ class TestHistogram:
         with pytest.raises(InvalidInputError):
             histogram(np.array([]), bin_width=1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+    def test_values_without_an_int64_bin_rejected(self, value):
+        # each used to come back as one bin centred at -9.22e18
+        with pytest.raises(InvalidInputError):
+            histogram(np.array([1.0, value]), bin_width=1.0)
+
+    @pytest.mark.parametrize("width", [np.nan, np.inf])
+    def test_non_finite_bin_width_rejected(self, width):
+        with pytest.raises(InvalidInputError):
+            histogram(np.ones(4), bin_width=width)
+
 
 def test_band_coefficients_extraction(rng):
     img = gray(rng.integers(0, 256, size=(32, 32)))
@@ -141,6 +152,19 @@ def test_band_coefficients_extraction(rng):
     assert abs(dc[0] - 8 * first_block_mean) < 1e-9
     with pytest.raises(InvalidInputError):
         band_coefficients(img, 64)
+
+
+@pytest.mark.parametrize("band", [True, 3.0, "3"])
+def test_band_coefficients_rejects_non_integer_bands(rng, band):
+    # True used to select whole blocks, and 3.0 raised a bare IndexError
+    img = gray(rng.integers(0, 256, size=(16, 16)))
+    with pytest.raises(InvalidInputError):
+        band_coefficients(img, band)
+
+
+def test_band_coefficients_takes_numpy_integers(rng):
+    img = gray(rng.integers(0, 256, size=(16, 16)))
+    np.testing.assert_array_equal(band_coefficients(img, np.int64(3)), band_coefficients(img, 3))
 
 
 # Pinned figures on images that span several strips of the pixel path: an

@@ -17,6 +17,7 @@ import pixel_oracle as oracle
 from statjpeg import blocks, color, jpeg, quant
 from statjpeg.dct import forward_dct, inverse_dct
 from statjpeg.image import RasterImage
+from statjpeg.metrics import band_coefficients, coefficient_sparsity
 from statjpeg.quant import QuantTable, inverse_zigzag, zigzag
 from statjpeg.stats import LUMA_ONLY, PER_CHANNEL, FrequencyStats
 
@@ -131,6 +132,10 @@ def test_color_formulas(dtype, data):
         assert_identical(got, want)
     for got, want in zip(color.ycbcr_to_rgb(*planes), oracle.ycbcr_to_rgb(*planes)):
         assert_identical(got, want)
+    # the Y-only kernel: the oracle's rounded Y, and ycbcr_samples' Y
+    luma = color.luma_samples(*planes)
+    assert_identical(luma, oracle._round_clamp(oracle.rgb_to_ycbcr(*planes)[0]).astype(np.float64))
+    assert_identical(luma, color.ycbcr_samples(*planes)[0])
 
 
 @given(st.lists(st.integers(0, 255) | st.floats(-300, 600), min_size=3, max_size=3))
@@ -190,21 +195,30 @@ def test_strip_pipeline_matches_whole_plane_reference(data, channels, strip_samp
     ]
     if channels == 3:
         want_pixels = oracle.color_convert_inverse(*want_pixels).planes
-    mode = PER_CHANNEL if channels == 3 else LUMA_ONLY
-    want_stats = FrequencyStats(mode)
+    modes = [LUMA_ONLY, PER_CHANNEL] if channels == 3 else [LUMA_ONLY]
+    want_stats = {mode: FrequencyStats(mode) for mode in modes}
     for channel, plane_coeffs in zip(("y", "chroma", "chroma"), coeffs):
         c = plane_coeffs.reshape(-1, 64)
         mean = c.mean(axis=0)
-        want_stats._merge_moments(channel, len(c), mean, ((c - mean) ** 2).sum(axis=0))
+        for stats in want_stats.values():
+            if channel in stats.moments:
+                stats._merge_moments(channel, len(c), mean, ((c - mean) ** 2).sum(axis=0))
+    band = data.draw(st.integers(0, 63))
+    want_zeros = inverse_zigzag(want_scans[0])[:, 1:] == 0
 
     with mock.patch.object(blocks, "_STRIP_SAMPLES", strip_samples):
         scans = jpeg._scan_blocks(img, tables)
         decoded = jpeg.decode_image(jpeg.encode_image(img, luma, chroma))
-        stats = FrequencyStats(mode).accumulate_image(img)
+        stats = {mode: FrequencyStats(mode).accumulate_image(img) for mode in modes}
+        sparsity = coefficient_sparsity(img, luma)
+        band_values = band_coefficients(img, band)
     for got, want in zip(scans, want_scans):
         assert_identical(got, want)
     for got, want in zip(decoded.planes, want_pixels):
         assert_identical(got, want)
-    for channel, moments in want_stats.moments.items():
-        for got, want in zip(stats.moments[channel], moments):
-            np.testing.assert_array_equal(got, want, strict=True)
+    for mode, want_mode in want_stats.items():
+        for channel, moments in want_mode.moments.items():
+            for got, want in zip(stats[mode].moments[channel], moments):
+                np.testing.assert_array_equal(got, want, strict=True)
+    assert sparsity.per_band == tuple(want_zeros.mean(axis=0).tolist())
+    assert_identical(band_values, coeffs[0].reshape(-1, 64)[:, band].copy())
