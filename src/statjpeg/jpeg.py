@@ -40,7 +40,8 @@ def _component_layout(channels, single_table):
 
 
 def _scan_blocks(img, tables):
-    """Zig-zag (n_blocks, 64) int32 quantized blocks per component.
+    """Zig-zag (n_blocks, 64) int32 quantized blocks, one array per table
+    for the image's first ``len(tables)`` components.
 
     Per strip: color forward, level shift, DCT, quantization and the
     zig-zag gather, each in the strip's row layout.

@@ -134,7 +134,8 @@ def test_color_formulas(dtype, data):
         assert_identical(got, want)
     # the Y-only kernel: the oracle's rounded Y, and ycbcr_samples' Y
     luma = color.luma_samples(*planes)
-    assert_identical(luma, oracle._round_clamp(oracle.rgb_to_ycbcr(*planes)[0]).astype(np.float64))
+    want = oracle._round_clamp(oracle.rgb_to_ycbcr(*planes)[0])
+    assert_identical(luma, want.astype(np.float64))
     assert_identical(luma, color.ycbcr_samples(*planes)[0])
 
 
@@ -200,9 +201,9 @@ def test_strip_pipeline_matches_whole_plane_reference(data, channels, strip_samp
     for channel, plane_coeffs in zip(("y", "chroma", "chroma"), coeffs):
         c = plane_coeffs.reshape(-1, 64)
         mean = c.mean(axis=0)
-        for stats in want_stats.values():
-            if channel in stats.moments:
-                stats._merge_moments(channel, len(c), mean, ((c - mean) ** 2).sum(axis=0))
+        for reference in want_stats.values():
+            if channel in reference.moments:
+                reference._merge_moments(channel, len(c), mean, ((c - mean) ** 2).sum(axis=0))
     band = data.draw(st.integers(0, 63))
     want_zeros = inverse_zigzag(want_scans[0])[:, 1:] == 0
 
