@@ -2,15 +2,18 @@
 
     python3 scripts/rss_probe.py [--size 4096]
 
-A child process writes one size x size RGB PPM (``synth_image`` "blobs")
-to a temporary directory; ``synth_image`` itself needs far more memory
-than the codec, so it never runs in a measured process.  Then three fresh
-interpreters each load that input and run one call:
+A child process writes one size x size RGB image (``synth_image``
+"blobs") to a temporary directory, as a PPM and as a PNG whose rows cycle
+through filters None, Sub and Up; ``synth_image`` itself needs far more
+memory than the codec, so it never runs in a measured process.  Then four
+fresh interpreters each load their input and run one call:
 
 * ``encode``: ``encode_image`` with the QF-75 Annex-K pair, writing the
   JPEG that ``decode`` reads;
 * ``decode``: ``decode_image`` of that file;
-* ``accumulate``: a per-channel ``FrequencyStats.accumulate_image``.
+* ``accumulate``: a per-channel ``FrequencyStats.accumulate_image``;
+* ``load-png``: ``load_image`` of the PNG.  Average and Paeth rows are left
+  out: their per-byte Python loop would take tens of seconds at 4096x4096.
 
 For each it prints the peak RSS after loading the input, the peak RSS of
 the whole process (``ru_maxrss``) and the call's seconds.  It reports and
@@ -24,23 +27,46 @@ import subprocess
 import sys
 import tempfile
 import time
+import zlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-STEPS = ("encode", "decode", "accumulate")
+STEPS = ("encode", "decode", "accumulate", "load-png")
 
 
 def peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
 
 
-def make_input(path, size):
+def png_chunk(ctype, payload):
+    body = ctype + payload
+    return len(payload).to_bytes(4, "big") + body + zlib.crc32(body).to_bytes(4, "big")
+
+
+def write_png(path, pixels):
+    """An 8-bit RGB PNG whose row r has filter type r % 3: None, Sub, Up."""
+    import numpy as np
+
+    height, width, _ = pixels.shape
+    filtered = pixels.copy()
+    filtered[1::3, 1:] -= pixels[1::3, :-1]  # Sub: minus the pixel to the left
+    filtered[2::3] -= pixels[1:-1:3]  # Up: minus the row above
+    ftypes = (np.arange(height) % 3).astype(np.uint8)
+    stream = np.column_stack([ftypes, filtered.reshape(height, -1)]).tobytes()
+    ihdr = width.to_bytes(4, "big") + height.to_bytes(4, "big") + bytes([8, 2, 0, 0, 0])
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + png_chunk(b"IHDR", ihdr)
+                     + png_chunk(b"IDAT", zlib.compress(stream)) + png_chunk(b"IEND", b""))
+
+
+def make_input(work, size):
     import numpy as np
 
     from statjpeg.imgfile import save_ppm
     from statjpeg.synth import synth_image
 
-    save_ppm(synth_image("blobs", np.random.default_rng(0), size, size), path)
+    img = synth_image("blobs", np.random.default_rng(0), size, size)
+    save_ppm(img, work / "image.ppm")
+    write_png(work / "image.png", img.to_array())
 
 
 def run_step(step, work):
@@ -53,6 +79,8 @@ def run_step(step, work):
     if step == "decode":
         data = jpeg_path.read_bytes()
         call = lambda: decode_image(data)  # noqa: E731
+    elif step == "load-png":
+        call = lambda: load_image(work / "image.png")  # noqa: E731
     else:
         img = load_image(work / "image.ppm")
         if step == "encode":
@@ -80,7 +108,7 @@ def main():
     parser.add_argument("--step", choices=("make", *STEPS), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.step == "make":
-        make_input(Path(args.work) / "image.ppm", args.size)
+        make_input(Path(args.work), args.size)
         return 0
     if args.step:
         run_step(args.step, Path(args.work))

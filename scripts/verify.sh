@@ -4,7 +4,8 @@
 # script exits non-zero if any test fails or any run does not report
 # "correct": true.  The runs write their reports to .perfbench/ and change
 # nothing else.  Then scripts/rss_probe.py reports the peak memory and time
-# of one 4096x4096 encode, decode and accumulate; it never fails the check.
+# of one 4096x4096 encode, decode, accumulate and PNG load; it never fails
+# the check.
 # Last, it prints the line count of each src/statjpeg module and their
 # total, then that total beside the one at HEAD, so a change can quote its
 # size before and after.

@@ -1,5 +1,6 @@
 """Image file loading (PPM/PGM, 8-bit PNG, baseline JPEG) and PPM saving."""
 
+import sys
 import zlib
 from pathlib import Path
 
@@ -62,6 +63,8 @@ def _pnm_number(token):
 def _load_pnm(data):
     tokens = _pnm_tokens(data)
     magic, _ = next(tokens)
+    if magic not in (b"P5", b"P6"):
+        raise UnsupportedFormatError(f"PNM magic {magic!r} (only P5 and P6 supported)")
     width = _pnm_number(next(tokens)[0])
     height = _pnm_number(next(tokens)[0])
     maxval_token, end = next(tokens)
@@ -81,44 +84,33 @@ def _load_pnm(data):
     return RasterImage.from_array(arr.reshape(height, width, 3))
 
 
-def _paeth(a, b, c):
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    return b if pb <= pc else c
-
-
-def _unfilter(raw, height, stride, bpp):
-    out = np.zeros((height, stride), dtype=np.int64)
-    pos = 0
-    for row in range(height):
-        ftype = raw[pos]
-        line = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=pos + 1).astype(
-            np.int64
-        )
-        pos += 1 + stride
-        prev = out[row - 1] if row else np.zeros(stride, dtype=np.int64)
-        if ftype == 0:
-            out[row] = line
+def _unfilter(rows, bpp):
+    """Undo the PNG filters (W3C PNG, clause 9) of uint8 ``(height, 1 + stride)``
+    rows, filter type byte first, in place; return the ``(height, stride)`` samples."""
+    samples = rows[:, 1:]
+    prev = np.zeros(samples.shape[1], dtype=np.uint8)
+    for ftype, cur in zip(rows[:, 0].tolist(), samples):
+        if ftype == 1:  # Sub: a running sum of each channel along the row
+            pixels = cur.reshape(-1, bpp)
+            np.cumsum(pixels, axis=0, dtype=np.uint8, out=pixels)
         elif ftype == 2:  # Up
-            out[row] = (line + prev) & 0xFF
-        elif ftype in (1, 3, 4):  # Sub / Average / Paeth need a left scan
-            cur = out[row]
-            for i in range(stride):
-                left = cur[i - bpp] if i >= bpp else 0
-                up = prev[i]
-                up_left = prev[i - bpp] if i >= bpp else 0
-                if ftype == 1:
-                    pred = left
-                elif ftype == 3:
-                    pred = (left + up) // 2
-                else:
-                    pred = _paeth(left, up, up_left)
-                cur[i] = (line[i] + pred) & 0xFF
-        else:
+            cur += prev
+        elif ftype in (3, 4):  # Average, Paeth: each byte needs the one just decoded
+            line, up = [0] * bpp + cur.tolist(), [0] * bpp + prev.tolist()
+            if ftype == 3:
+                for i in range(bpp, len(line)):
+                    line[i] = (line[i] + (line[i - bpp] + up[i]) // 2) & 0xFF
+            else:
+                for i in range(bpp, len(line)):
+                    a, b, c = line[i - bpp], up[i], up[i - bpp]
+                    pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+                    pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
+                    line[i] = (line[i] + pred) & 0xFF
+            cur[:] = line[bpp:]
+        elif ftype:
             raise UnsupportedFormatError(f"PNG filter type {ftype}")
-    return out.astype(np.uint8)
+        prev = cur
+    return samples
 
 
 def _load_png(data):
@@ -152,16 +144,20 @@ def _load_png(data):
     if interlace != 0:
         raise UnsupportedFormatError("interlaced PNG is not supported")
     channels = 1 if color_type == 0 else 3
+    stride = width * channels
+    expected = height * (stride + 1)
+    # inflate at most one byte past the raster IHDR declares; zlib takes the
+    # bound as a C ssize_t, which a (2**32 - 1)**2 RGB raster overflows
+    inflate = zlib.decompressobj()
     try:
-        raw = zlib.decompress(b"".join(idat))
+        raw = bytearray(inflate.decompress(b"".join(idat), min(expected + 1, sys.maxsize)))
     except zlib.error as exc:
         raise UnsupportedFormatError(f"corrupt PNG image data: {exc}") from exc
-    stride = width * channels
-    if len(raw) != height * (stride + 1):
-        raise UnsupportedFormatError(
-            f"PNG raster has {len(raw)} bytes, expected {height * (stride + 1)}"
-        )
-    plane = _unfilter(raw, height, stride, channels)
-    if channels == 1:
-        return RasterImage.from_array(plane)
-    return RasterImage.from_array(plane.reshape(height, width, 3))
+    if len(raw) > expected:
+        raise UnsupportedFormatError(f"PNG raster has more than {expected} bytes")
+    if not inflate.eof:
+        raise UnsupportedFormatError("corrupt PNG image data: truncated zlib stream")
+    if len(raw) != expected:
+        raise UnsupportedFormatError(f"PNG raster has {len(raw)} bytes, expected {expected}")
+    samples = _unfilter(np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1), channels)
+    return RasterImage(width, height, tuple(samples[:, c::channels] for c in range(channels)))

@@ -110,6 +110,10 @@ def histogram(values, bin_width):
         bins = round_half_away(values / bin_width)
     if not (np.abs(bins) < 2.0**63).all():  # NaN and inf fail too
         raise InvalidInputError("histogram values must be finite, within 2**63 bins of 0")
-    centers, counts = np.unique(bins.astype(np.int64), return_counts=True)
-    return [(float(c * bin_width), int(n)) for c, n in zip(centers, counts)]
+    indices, counts = np.unique(bins.astype(np.int64), return_counts=True)
+    with np.errstate(over="ignore"):
+        centers = indices * bin_width
+    if not np.isfinite(centers).all():
+        raise InvalidInputError("histogram bin centers must be finite")
+    return [(float(c), int(n)) for c, n in zip(centers, counts)]
 

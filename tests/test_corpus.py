@@ -105,6 +105,19 @@ class TestPnm:
         with pytest.raises(UnsupportedFormatError, match="PNM header field"):
             load_image(path)
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"P6x\n2 1\n255\n" + bytes(6), b"P5x\n2 1\n255\n" + bytes(2),
+         b"P56\n1 1\n255\n\x00"],
+        ids=["p6-prefix", "p5-prefix", "p5-digit"],
+    )
+    def test_magic_token_other_than_p5_or_p6_rejected(self, tmp_path, data):
+        # "P6x" used to load as RGB, and "P5x" was read as P6 too
+        path = tmp_path / "odd.pnm"
+        path.write_bytes(data)
+        with pytest.raises(UnsupportedFormatError, match=f"PNM magic b'{data[:3].decode()}'"):
+            load_image(path)
+
 
 def write_png(path, array, bit_depth=8):
     """Minimal PNG writer (filter 0 rows) used as a loader fixture."""

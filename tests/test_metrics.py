@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,13 @@ class TestHistogram:
         # each used to come back as one bin centred at -9.22e18
         with pytest.raises(InvalidInputError):
             histogram(np.array([1.0, value]), bin_width=1.0)
+
+    def test_bin_center_beyond_float64_rejected(self):
+        # bin 2 fits int64, but its center 2e308 overflows float64 to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="bin centers"):
+                histogram([1.7e308], 1e308)
 
     @pytest.mark.parametrize("width", [np.nan, np.inf])
     def test_non_finite_bin_width_rejected(self, width):
