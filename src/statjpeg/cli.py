@@ -7,7 +7,6 @@ input error.
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -28,6 +27,7 @@ from .stats import (
     sample_images,
     save_delta_csv,
     save_stats,
+    write_json,
 )
 from .tables import (
     PlmParams,
@@ -237,9 +237,7 @@ def cmd_benchmark(args):
             "images": manifest.image_count,
             "sources": aggregates,
         }
-        with open(args.json, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        write_json(summary, args.json)
 
     for label, agg in aggregates.items():
         mean_psnr = agg["mean_psnr_db"]

@@ -1,5 +1,6 @@
 """Image file loading (PPM/PGM, 8-bit PNG, baseline JPEG) and PPM saving."""
 
+import re
 import sys
 import zlib
 from pathlib import Path
@@ -36,52 +37,33 @@ def save_ppm(img, path):
         fh.write(img.to_array().tobytes())
 
 
-def _pnm_tokens(data):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    pos = 0
-    while True:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise UnsupportedFormatError("truncated PNM header")
-        yield data[start:pos], pos
-
-
-def _pnm_number(token):
-    if not token.isdigit():
-        raise UnsupportedFormatError(f"PNM header field {token!r} is not a decimal number")
-    return int(token)
+# the magic, width, height and maxval, each after whitespace or '#' comments (to the
+# end of the line, so no field starts with '#'), then at most one whitespace byte
+_PNM_HEADER = re.compile(rb"(\S+)" + 3 * rb"\s(?:\s|#[^\n]*\n)*([^\s#]\S*)" + rb"\s?")
 
 
 def _load_pnm(data):
-    tokens = _pnm_tokens(data)
-    magic, _ = next(tokens)
+    header = _PNM_HEADER.match(data)
+    if header is None:
+        raise UnsupportedFormatError("truncated PNM header")
+    magic, *fields = header.groups()
     if magic not in (b"P5", b"P6"):
         raise UnsupportedFormatError(f"PNM magic {magic!r} (only P5 and P6 supported)")
-    width = _pnm_number(next(tokens)[0])
-    height = _pnm_number(next(tokens)[0])
-    maxval_token, end = next(tokens)
-    maxval = _pnm_number(maxval_token)
+    for field in fields:
+        if not field.isdigit():
+            raise UnsupportedFormatError(f"PNM header field {field!r} is not a decimal number")
+    width, height, maxval = map(int, fields)
     if maxval != 255:
         raise UnsupportedFormatError(f"PNM maxval {maxval} (only 8-bit supported)")
     channels = 1 if magic == b"P5" else 3
     expected = width * height * channels
-    raster = data[end + 1:end + 1 + expected]
+    raster = data[header.end():header.end() + expected]
     if len(raster) != expected:
         raise UnsupportedFormatError(
             f"PNM raster has {len(raster)} bytes, expected {expected}"
         )
-    arr = np.frombuffer(raster, dtype=np.uint8)
-    if channels == 1:
-        return RasterImage.from_array(arr.reshape(height, width))
-    return RasterImage.from_array(arr.reshape(height, width, 3))
+    samples = np.frombuffer(raster, dtype=np.uint8).reshape(height, width * channels)
+    return RasterImage(width, height, tuple(samples[:, c::channels] for c in range(channels)))
 
 
 def _unfilter(rows, bpp):

@@ -35,6 +35,33 @@ N_BANDS = 64
 STATS_SCHEMA_VERSION = 1
 
 
+def write_json(doc, path):
+    """Write ``doc`` as JSON indented by 2, plus a newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def read_versioned(path, kind, version, parse):
+    """``parse(doc)`` of the JSON file at ``path`` if its ``schema_version`` is
+    the integer ``version``.  A missing or wrong-typed field raises
+    InvalidInputError "malformed <kind> file"."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    try:
+        found = doc.get("schema_version")
+        if found != version:
+            raise SchemaVersionError(f"{kind} schema version {found!r} is not {version}")
+        if type(found) is not int:  # true and 1.0 compare equal to 1
+            raise InvalidInputError(f"{kind} schema_version {found!r} is not an integer")
+        return parse(doc)
+    except (AttributeError, KeyError, TypeError) as exc:
+        # a missing field, or a field of the wrong type
+        raise InvalidInputError(
+            f"malformed {kind} file {path}: {type(exc).__name__} {exc}"
+        ) from exc
+
+
 def sample_images(manifest, k):
     """Select every k-th image per class, visiting classes in manifest order.
 
@@ -216,9 +243,7 @@ def save_stats(summary, path):
         "total_blocks": summary.total_blocks,
         "source_manifest_digest": summary.source_digest,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def _numbers(bands, field, channel):
@@ -228,48 +253,37 @@ def _numbers(bands, field, channel):
     return _frozen(values)
 
 
-def load_stats(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        version = doc.get("schema_version")
-        if version != STATS_SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"stats schema version {version!r} is not {STATS_SCHEMA_VERSION}"
-            )
-        if type(version) is not int:  # true and 1.0 compare equal to 1
-            raise InvalidInputError(f"stats schema_version {version!r} is not an integer")
-        channels = {}
-        for channel, bands in doc["channels"].items():
-            if bands.keys() != {str(band) for band in range(N_BANDS)}:
-                raise InvalidInputError(f"channel {channel!r} does not cover bands 0..63")
-            ordered = [bands[str(i)] for i in range(N_BANDS)]
-            counts = set(integers([b["count"] for b in ordered], "stats block counts"))
-            if len(counts) != 1:
-                raise InvalidInputError(f"channel {channel!r} bands disagree on count")
-            count = counts.pop()
-            if count < 2:  # finalize never writes fewer
-                raise InvalidInputError(
-                    f"channel {channel!r} has only {count} blocks; need at least 2"
-                )
-            channels[channel] = (
-                count,
-                _numbers(ordered, "mean", channel),
-                _numbers(ordered, "stddev", channel),
-            )
-        summary = FrequencySummary(channels, doc.get("source_manifest_digest"))
-        if doc["total_blocks"] != summary.total_blocks:
+def _parse_stats(doc):
+    channels = {}
+    for channel, bands in doc["channels"].items():
+        if bands.keys() != {str(band) for band in range(N_BANDS)}:
+            raise InvalidInputError(f"channel {channel!r} does not cover bands 0..63")
+        ordered = [bands[str(i)] for i in range(N_BANDS)]
+        counts = set(integers([b["count"] for b in ordered], "stats block counts"))
+        if len(counts) != 1:
+            raise InvalidInputError(f"channel {channel!r} bands disagree on count")
+        count = counts.pop()
+        if count < 2:  # finalize never writes fewer
             raise InvalidInputError(
-                f"total_blocks {doc['total_blocks']!r} is not the sum of the channel "
-                f"counts ({summary.total_blocks})"
+                f"channel {channel!r} has only {count} blocks; need at least 2"
             )
-        integers([doc["total_blocks"]], "stats block counts")  # 4.0 equals 4
-        return summary
-    except (AttributeError, KeyError, TypeError) as exc:
-        # a missing field, or a field of the wrong type
+        channels[channel] = (
+            count,
+            _numbers(ordered, "mean", channel),
+            _numbers(ordered, "stddev", channel),
+        )
+    summary = FrequencySummary(channels, doc.get("source_manifest_digest"))
+    if doc["total_blocks"] != summary.total_blocks:
         raise InvalidInputError(
-            f"malformed stats file {path}: {type(exc).__name__} {exc}"
-        ) from exc
+            f"total_blocks {doc['total_blocks']!r} is not the sum of the channel "
+            f"counts ({summary.total_blocks})"
+        )
+    integers([doc["total_blocks"]], "stats block counts")  # 4.0 equals 4
+    return summary
+
+
+def load_stats(path):
+    return read_versioned(path, "stats", STATS_SCHEMA_VERSION, _parse_stats)
 
 
 def save_delta_csv(summary, path):

@@ -3,14 +3,13 @@ coefficient spread to quantization steps, band segmentation, the scaled
 standard tables, and the comparison baselines (uniform step, removal of the
 top high-frequency components)."""
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParamsError, SchemaVersionError
+from .errors import InvalidInputError, InvalidParamsError
 from .quant import ZIGZAG_INDEX, QuantTable
-from .stats import N_BANDS, rank_bands
+from .stats import N_BANDS, rank_bands, read_versioned, write_json
 
 TABLE_SCHEMA_VERSION = 1
 
@@ -188,27 +187,14 @@ def save_table(table, path):
         "entries": [int(v) for v in table.values],
         "provenance": table.provenance,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(doc, path)
+
+
+def _parse_table(doc):
+    if doc.get("order") != "natural":
+        raise InvalidInputError(f"unknown table order {doc.get('order')!r}")
+    return QuantTable(doc["entries"], provenance=doc.get("provenance"))
 
 
 def load_table(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        version = doc.get("schema_version")
-        if version != TABLE_SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"table schema version {version!r} is not {TABLE_SCHEMA_VERSION}"
-            )
-        if type(version) is not int:  # true and 1.0 compare equal to 1
-            raise InvalidInputError(f"table schema_version {version!r} is not an integer")
-        if doc.get("order") != "natural":
-            raise InvalidInputError(f"unknown table order {doc.get('order')!r}")
-        return QuantTable(doc["entries"], provenance=doc.get("provenance"))
-    except (AttributeError, KeyError, TypeError) as exc:
-        # a missing field, or a field of the wrong type
-        raise InvalidInputError(
-            f"malformed table file {path}: {type(exc).__name__} {exc}"
-        ) from exc
+    return read_versioned(path, "table", TABLE_SCHEMA_VERSION, _parse_table)
