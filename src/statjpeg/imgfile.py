@@ -48,10 +48,14 @@ def _load_pnm(data):
         raise UnsupportedFormatError("truncated PNM header")
     magic, *fields = header.groups()
     if magic not in (b"P5", b"P6"):
-        raise UnsupportedFormatError(f"PNM magic {magic!r} (only P5 and P6 supported)")
+        raise UnsupportedFormatError(f"PNM magic {magic[:20]!r} (only P5 and P6 supported)")
     for field in fields:
         if not field.isdigit():
-            raise UnsupportedFormatError(f"PNM header field {field!r} is not a decimal number")
+            raise UnsupportedFormatError(
+                f"PNM header field {field[:20]!r} is not a decimal number"
+            )
+        if len(field.lstrip(b"0")) > 18:  # no file holds 10**18 bytes; int() stops at 4,300 digits
+            raise UnsupportedFormatError(f"PNM header field of {len(field)} digits is too large")
     width, height, maxval = map(int, fields)
     if maxval != 255:
         raise UnsupportedFormatError(f"PNM maxval {maxval} (only 8-bit supported)")
@@ -96,14 +100,24 @@ def _unfilter(rows, bpp):
 
 
 def _load_png(data):
+    view = memoryview(data)
     pos = 8
     ihdr = None
     idat = []
     while pos + 8 <= len(data):
         length = int.from_bytes(data[pos:pos + 4], "big")
         ctype = data[pos + 4:pos + 8]
-        chunk = data[pos + 8:pos + 8 + length]
-        pos += 12 + length
+        name = ctype.decode("ascii", "backslashreplace")
+        end = pos + 8 + length
+        if end + 4 > len(data):
+            raise UnsupportedFormatError(f"PNG {name} chunk runs past the end of the file")
+        chunk = view[pos + 8:end]
+        # the critical chunks this loader reads must be intact; others are skipped
+        if ctype in (b"IHDR", b"IDAT", b"IEND") and (
+            zlib.crc32(view[pos + 4:end]) != int.from_bytes(data[end:end + 4], "big")
+        ):
+            raise UnsupportedFormatError(f"PNG {name} chunk fails its CRC check")
+        pos = end + 4
         if ctype == b"IHDR":
             ihdr = chunk
         elif ctype == b"IDAT":

@@ -36,18 +36,26 @@ STATS_SCHEMA_VERSION = 1
 
 
 def write_json(doc, path):
-    """Write ``doc`` as JSON indented by 2, plus a newline."""
+    """Write ``doc`` as JSON indented by 2, plus a newline.  NaN and the
+    infinities are not JSON numbers: they raise ValueError, and no file is written."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_versioned(path, kind, version, parse):
     """``parse(doc)`` of the JSON file at ``path`` if its ``schema_version`` is
-    the integer ``version``.  A missing or wrong-typed field raises
-    InvalidInputError "malformed <kind> file"."""
+    the integer ``version``.  Text that is not JSON, NaN or an infinity
+    (Python's json reads them; JSON has no such numbers), or a missing or
+    wrong-typed field raises InvalidInputError "malformed <kind> file"."""
+    def not_a_number(token):
+        raise ValueError(f"{token} is not a JSON number")
+
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh, parse_constant=not_a_number)
+        except ValueError as exc:  # not UTF-8, not JSON, or NaN or an infinity
+            raise InvalidInputError(f"malformed {kind} file {path}: {exc}") from exc
     try:
         found = doc.get("schema_version")
         if found != version:

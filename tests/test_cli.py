@@ -159,8 +159,13 @@ class TestDesignTable:
         lambda doc: doc.update(schema_version=True),
         lambda doc: doc.update(schema_version=1.0),
         lambda doc: doc["channels"]["y"].update(x=doc["channels"]["y"].pop("5")),
+        # json.dumps writes these as NaN, Infinity and -Infinity, which are not JSON numbers
+        lambda doc: doc["channels"]["y"]["5"].update(mean=float("nan")),
+        lambda doc: doc["channels"]["y"]["5"].update(stddev=float("inf")),
+        lambda doc: doc["channels"]["y"]["5"].update(mean=float("-inf")),
     ], ids=["count-fraction", "count-string", "count-bool", "mean-string", "stddev-bool",
-            "total-float", "version-bool", "version-float", "band-key-word"])
+            "total-float", "version-bool", "version-float", "band-key-word",
+            "mean-nan", "stddev-infinity", "mean-minus-infinity"])
     def test_stats_field_of_the_wrong_type_exits_two(self, tmp_path, capsys, edit):
         doc = stats_doc([64.0 - i for i in range(64)])
         stats_path = tmp_path / "stats.json"

@@ -6,11 +6,15 @@ import pytest
 
 from conftest import corrupt_png, png_bytes
 from statjpeg.corpus import scan_corpus
-from statjpeg.errors import InvalidInputError, UnsupportedFormatError
+from statjpeg.errors import InvalidInputError, StatJpegError, UnsupportedFormatError
 from statjpeg.image import RasterImage
 from statjpeg.imgfile import load_image, save_ppm
 from statjpeg.jpeg import encode_image
 from statjpeg.quant import QuantTable
+
+
+# the six bytes that separate PNM header fields
+PNM_WHITESPACE = [bytes([b]) for b in b" \t\n\v\f\r"]
 
 
 def make_tree(root, spec):
@@ -96,13 +100,28 @@ class TestPnm:
 
     @pytest.mark.parametrize(
         "header",
-        [b"P5\nab 1\n255\n", b"P5\n-1 -1\n255\n", b"P5\n1 1\n2x5\n"],
-        ids=["letters", "negative", "maxval"],
+        [b"P5\nab 1\n255\n", b"P5\n-1 -1\n255\n", b"P5\n1 1\n2x5\n",
+         b"P5\n1 " + b"9" * 5000 + b"\n255\n"],
+        ids=["letters", "negative", "maxval", "past-int-digit-limit"],
     )
     def test_non_numeric_header_field_rejected(self, tmp_path, header):
         path = tmp_path / "bad.pgm"
         path.write_bytes(header + b"\x00")
         with pytest.raises(UnsupportedFormatError, match="PNM header field"):
+            load_image(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P5", b"P5\n2 2\n", b"P5 2 2 #255", b"P5 2 2 # 255\r", b"P5\nab 1"],
+        ids=["magic-only", "no-maxval", "maxval-in-comment", "comment-without-newline",
+             "bad-field-then-end"],
+    )
+    def test_header_that_ends_early_is_truncated(self, tmp_path, data):
+        # the whole header is matched before any field is read, so a cut
+        # reports the cut even when an earlier field is bad
+        path = tmp_path / "short.pgm"
+        path.write_bytes(data)
+        with pytest.raises(UnsupportedFormatError, match="^truncated PNM header$"):
             load_image(path)
 
     @pytest.mark.parametrize(
@@ -117,6 +136,51 @@ class TestPnm:
         path.write_bytes(data)
         with pytest.raises(UnsupportedFormatError, match=f"PNM magic b'{data[:3].decode()}'"):
             load_image(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P5" + b"x" * 10**6 + b" 1 1 255 \x00", b"P5 " + b"x" * 10**6 + b" 1 255 \x00"],
+        ids=["magic", "field"],
+    )
+    def test_error_quotes_at_most_20_bytes_of_a_token(self, tmp_path, data):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(data)
+        with pytest.raises(UnsupportedFormatError, match="PNM") as err:
+            load_image(path)
+        assert len(str(err.value)) < 100
+
+    # a raster whose first bytes are whitespace and '#' values, so a reader that
+    # skips more than the one whitespace byte after maxval shifts the pixels
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5\n2 2\n255\n", b"P5 # after the magic\n2 2 255\n",
+         b"P5\n#a\n2\n#b\n2\n# c #\n255\n", b"P5 #x#y\n#\n\n 2\t2\r\n255\r",
+         *(ws.join([b"P5", b"2", b"2", b"255", b""]) for ws in PNM_WHITESPACE)],
+        ids=["plain", "comment-after-magic", "comment-between-fields", "comment-runs",
+             *(f"separator-{ws.hex()}" for ws in PNM_WHITESPACE)],
+    )
+    def test_well_formed_header_loads(self, tmp_path, header):
+        path = tmp_path / "g.pgm"
+        path.write_bytes(header + bytes([32, 10, 35, 9]))
+        assert load_image(path).to_array().tolist() == [[32, 10], [35, 9]]
+
+    @pytest.mark.parametrize(
+        "header, raster",
+        [(b"P5 #c\n2 1\n255\n", bytes([10, 32])), (b"P6\n1 1 255\t", bytes([9, 35, 0]))],
+        ids=["gray", "rgb"],
+    )
+    def test_header_cuts_and_byte_swaps_raise_only_toolkit_errors(self, tmp_path, header, raster):
+        data = header + raster
+        mutants = [data[:n] for n in range(len(data))]
+        mutants += [data[:i] + bytes([value]) + data[i + 1:]
+                    for i in range(len(header)) for value in b" \n#x9-\v\f"]
+        path = tmp_path / "mutant.pnm"
+        for mutant in mutants:
+            path.write_bytes(mutant)
+            try:
+                load_image(path)
+            except StatJpegError:
+                pass
 
 
 def write_png(path, array, bit_depth=8):

@@ -84,19 +84,26 @@ def chunk_spans(data):
         pos += 12 + length
 
 
+def with_crc(data, start, length):
+    """``data`` with the CRC of the chunk at ``start`` computed again."""
+    end = start + 8 + length
+    return data[:end] + struct.pack(">I", zlib.crc32(data[start + 4:end])) + data[end + 4:]
+
+
 def png_mutants(data):
     """Yield copies of ``data`` with one field changed.
 
-    Every byte of the IHDR and IDAT payloads is set to a few values, and each
-    chunk's declared length to every value from 0 to length + 2 and to the
-    largest 31- and 32-bit values.
+    Every byte of the IHDR and IDAT payloads is set to a few values, with the
+    chunk's CRC made to match so that the change reaches the field's parser,
+    and each chunk's declared length to every value from 0 to length + 2 and
+    to the largest 31- and 32-bit values.
     """
     for start, length in chunk_spans(data):
         if data[start + 4:start + 8] in (b"IHDR", b"IDAT"):
             for i in range(start + 8, start + 8 + length):
                 for value in (0x00, 0x01, 0x7F, 0x80, 0xFF):
                     if data[i] != value:
-                        yield data[:i] + bytes([value]) + data[i + 1:]
+                        yield with_crc(data[:i] + bytes([value]) + data[i + 1:], start, length)
         for n in (*range(length + 3), 2**31 - 1, 2**32 - 1):
             if n != length:
                 yield data[:start] + n.to_bytes(4, "big") + data[start + 4:]
@@ -110,6 +117,38 @@ def test_field_mutations_raise_only_toolkit_errors(tmp_path, rng, shape):
             load(tmp_path, mutant)
         except StatJpegError:
             pass
+
+
+# 2x2 gray, both rows unfiltered: loads as [[1, 2], [3, 4]]
+GRAY_2X2 = png_file(2, 2, 0, b"\x00\x01\x02\x00\x03\x04")
+
+
+def chunk_start(data, ctype):
+    return next(start for start, _ in chunk_spans(data) if data[start + 4:start + 8] == ctype)
+
+
+@pytest.mark.parametrize("ctype", [b"IHDR", b"IDAT", b"IEND"])
+def test_critical_chunk_crc_mismatch_rejected(tmp_path, ctype):
+    data = bytearray(GRAY_2X2)
+    start = chunk_start(GRAY_2X2, ctype)
+    data[start + 8 + int.from_bytes(data[start:start + 4], "big")] ^= 0x01
+    with pytest.raises(UnsupportedFormatError, match=f"PNG {ctype.decode()} chunk fails its CRC"):
+        load(tmp_path, bytes(data))
+
+
+def test_ancillary_chunk_crc_is_not_checked(tmp_path):
+    text = png_bytes([(b"tEXt", b"Comment\x00x")])[8:]
+    idat = chunk_start(GRAY_2X2, b"IDAT")
+    data = GRAY_2X2[:idat] + text[:-1] + bytes([text[-1] ^ 0x01]) + GRAY_2X2[idat:]
+    assert load(tmp_path, data).to_array().tolist() == [[1, 2], [3, 4]]
+
+
+def test_chunk_length_past_the_end_of_the_file_rejected(tmp_path):
+    start = chunk_start(GRAY_2X2, b"IDAT")
+    length = int.from_bytes(GRAY_2X2[start:start + 4], "big") + 1000
+    data = GRAY_2X2[:start] + length.to_bytes(4, "big") + GRAY_2X2[start + 4:]
+    with pytest.raises(UnsupportedFormatError, match="PNG IDAT chunk runs past the end"):
+        load(tmp_path, data)
 
 
 @pytest.mark.parametrize(

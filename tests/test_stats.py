@@ -323,6 +323,17 @@ class TestPersistence:
         with pytest.raises(SchemaVersionError):
             load_stats(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [b'{"schema_version": 1,,}', b'{"schema_version": 1, "x": "\xff"}', b"[1, 2"],
+        ids=["syntax", "not-utf-8", "cut-short"],
+    )
+    def test_file_that_is_not_json_is_malformed(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        with pytest.raises(InvalidInputError, match="^malformed stats file .*bad.json: "):
+            load_stats(path)
+
     def test_corrupt_json_reports_location(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1,,}')

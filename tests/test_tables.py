@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from statjpeg.errors import InvalidInputError, InvalidParamsError, SchemaVersionError
-from statjpeg.quant import ZIGZAG_INDEX, ZIGZAG_POSITION
+from statjpeg.quant import ZIGZAG_INDEX, ZIGZAG_POSITION, QuantTable
 from statjpeg.tables import (
     STANDARD_LUMA,
     BandSegmentation,
@@ -230,6 +230,18 @@ class TestPersistence:
         save_table(same_q_table(4), path)
         path.write_text(path.read_text().replace('"schema_version": 1', '"schema_version": 9'))
         with pytest.raises(SchemaVersionError):
+            load_table(path)
+
+    def test_non_finite_numbers_are_neither_written_nor_read(self, tmp_path):
+        # Python's json writes and reads NaN and the infinities; JSON has no such numbers
+        path = tmp_path / "table.json"
+        table = QuantTable(np.full(64, 4), provenance={"kind": "custom", "spread": float("nan")})
+        with pytest.raises(ValueError, match="JSON"):
+            save_table(table, path)
+        assert not path.exists()
+        save_table(same_q_table(4), path)
+        path.write_text(path.read_text().replace('"q": 4', '"q": -Infinity'))
+        with pytest.raises(InvalidInputError, match="-Infinity is not a JSON number"):
             load_table(path)
 
     @pytest.mark.parametrize("version", ["true", "1.0"])
