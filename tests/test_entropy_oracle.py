@@ -107,6 +107,33 @@ def test_encode_matches_oracle(n_mcus, seed, n_comp, kinds, dc_swing):
     assert all(np.array_equal(a, b) for a, b in zip(comps, decoded))
 
 
+def test_image_ending_inside_first_chunk_matches_oracle():
+    # A QF-100 scan of 35 MCUs: dense, and shorter than any chunk.
+    img = synth_image("speckle", np.random.default_rng(4), 40, 56)
+    comps = _scan_blocks(img, [standard_table(100, "luma")] + [standard_table(100, "chroma")] * 2)
+    expected = oracle.entropy_encode(comps, DC_TABLES, AC_TABLES)
+    assert entropy_encode(comps, DC_TABLES, AC_TABLES) == expected
+
+
+@pytest.mark.parametrize("n_comp", [1, 3])
+def test_density_jump_between_chunks_matches_oracle(n_comp):
+    # Over a thousand MCUs of about one word per block, then blocks whose
+    # every coefficient is a word, then sparse ones again: a chunk sized by
+    # the words of the MCUs before it would hold far more words than that.
+    rng = np.random.default_rng(17 + n_comp)
+    comps = [
+        np.concatenate([
+            make_blocks(rng, CHUNK + 7, ("zero", "sparse"), False),
+            make_blocks(rng, 300, ("full",), True),
+            make_blocks(rng, 40, ("sparse",), False),
+        ])
+        for _ in range(n_comp)
+    ]
+    tables = (DC_TABLES[:n_comp], AC_TABLES[:n_comp])
+    expected = oracle.entropy_encode(comps, *tables)
+    assert entropy_encode(comps, *tables) == expected
+
+
 def test_encode_with_16_bit_zrl_code_matches_oracle():
     # Swap ZRL with the last Annex K luma symbol, which has a 16-bit code.
     # Three ZRLs, a 16-bit code, its magnitude bits and an EOB no longer
