@@ -53,6 +53,7 @@ def sample_strips(img, count):
                 strip = np.pad(strip, ((0, pad_h), (0, pad_w)), mode="edge")
             strips.append(strip)
         yield top // BLOCK_SIZE * cols, strips
+        del samples, strips, strip  # none is held while the next strip's are made
 
 
 def partition_blocks(plane):

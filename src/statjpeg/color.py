@@ -31,8 +31,7 @@ def _buffers(n, *arrays):
     for blocks of 4 MB and more, so a 512x512 call's first writes fault a
     few times instead of once per 4 KB page.
     """
-    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
-    block = np.empty((n, *shape))
+    block = np.empty((n, *np.broadcast(*arrays).shape))
     return [block[i, ...] for i in range(n)]
 
 
@@ -42,8 +41,10 @@ def rgb_to_ycbcr(r, g, b):
     # cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
     # cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
     # Each input is converted to float64 once and folded into all three
-    # sums, which keeps every sum's left-to-right order.
-    y, cb, cr, x, term = _buffers(5, r, g, b)
+    # sums, which keeps every sum's left-to-right order.  The scratch is an
+    # allocation of its own, so it is freed on return.
+    y, cb, cr = _buffers(3, r, g, b)
+    x, term = _buffers(2, r, g, b)
     np.copyto(x, r)
     np.multiply(0.299, x, out=y)
     np.multiply(0.168736, x, out=cb)

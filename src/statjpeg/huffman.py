@@ -24,6 +24,7 @@ and the magnitude bits are read from the window next.
 """
 
 import functools
+import itertools
 import re
 
 import numpy as np
@@ -97,10 +98,12 @@ AC_CHROMA_VALUES = (
 
 _LUT_BITS = 16
 
-# MCUs coded per vectorized pass.  Every temporary array of the encoder
-# scales with this constant instead of with the image, which bounds the
-# encoder's working memory for any image size.
+# The encoder codes a chunk of MCUs per vectorized pass: at most _CHUNK_MCUS
+# MCUs whose blocks code at most _CHUNK_WORDS words, or one MCU.  Its
+# temporaries scale with these bounds instead of with the image, so its
+# working memory is bounded for any image size and any coefficient density.
 _CHUNK_MCUS = 1024
+_CHUNK_WORDS = 1 << 14
 
 # Scan bytes the decoder builds its 16-bit window for at a time.  The window
 # takes 16 bytes per scan byte, so this bounds it at about 1 MB for any scan.
@@ -188,9 +191,18 @@ def _decode_lut(bits, values, dc):
     if any, follow.  ``consume == 0``: no code has this prefix.  Equal
     entries share one tuple.
     """
-    lut = [_INVALID] * (1 << _LUT_BITS)
+    return tuple(itertools.chain.from_iterable(_lut_runs(bits, values, dc)))
+
+
+def _lut_runs(bits, values, dc):
+    """The decode table as runs of one repeated entry, in prefix order.
+
+    Canonical codes are consecutive (T.81 Annex C), so the prefixes of the
+    codes tile the table from 0 up, and only the prefixes after the last
+    one start no code.
+    """
+    end = 0
     for symbol, code, length in _canonical_codes(bits, values):
-        start = code << (_LUT_BITS - length)
         if dc:
             advance, size = 0, symbol
             fast = symbol <= 11
@@ -199,15 +211,13 @@ def _decode_lut(bits, values, dc):
             fast = size > 0 or symbol == 0xF0  # ZRL: 16 zeros, value 0
         spare = _LUT_BITS - length - size
         if fast and spare >= 0:
-            step = 1 << spare
             for raw in range(1 << size):
                 value = _extend(raw, size) if size else 0
-                lo = start + raw * step
-                lut[lo:lo + step] = [(length + size, advance, value)] * step
+                yield itertools.repeat((length + size, advance, value), 1 << spare)
         else:
-            span = 1 << (_LUT_BITS - length)
-            lut[start:start + span] = [(-length, symbol, 0)] * span
-    return tuple(lut)  # shared by every call through the cache
+            yield itertools.repeat((-length, symbol, 0), 1 << (_LUT_BITS - length))
+        end = (code + 1) << (_LUT_BITS - length)
+    yield itertools.repeat(_INVALID, (1 << _LUT_BITS) - end)
 
 
 class HuffmanTable:
@@ -267,20 +277,27 @@ def _pack(out, words, ends, nbits):
 
     Word ``i`` fills stream bits ``ends[i] - nbits[i]`` up to ``ends[i]``;
     one that crosses a 64-bit boundary spills into the next output word.
-    Words never overlap, so ORing them equals placing them.
+    Words never overlap, so ORing them equals placing them.  They come in
+    stream order, so the heads that share an output word are adjacent and
+    are ORed together first.
     """
     idx = (ends - nbits) >> np.uint64(6)
     stop = ends - (idx << np.uint64(6))  # 1..127 bits into out[idx]
     head = (words << (np.uint64(64) - np.minimum(stop, np.uint64(64)))) >> (
         np.maximum(stop, np.uint64(64)) - np.uint64(64)
     )
-    np.bitwise_or.at(out, idx, head)
+    starts = np.empty(idx.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(idx[1:], idx[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    out[idx[starts]] |= np.bitwise_or.reduceat(head, starts)
     spill = np.flatnonzero(stop > 64)
     out[idx[spill] + 1] |= words[spill] << (np.uint64(128) - stop[spill])
 
 
-def _code_words(blocks, tables):
-    """Code words for ``blocks`` (n, 64), zig-zag order with DC differences.
+def _code_words(blocks, present, tables):
+    """Code words for ``blocks`` (n, 64), zig-zag order with DC differences,
+    whose coefficients marked in ``present`` are coded.
 
     Returns ``(words, nbits, zrl)`` in stream order, one word per DC
     difference and per nonzero AC coefficient: ``words[i]`` holds
@@ -292,10 +309,8 @@ def _code_words(blocks, tables):
     them is still held while the words are packed.
     """
     codes, lengths, zrl_words, zrl_lengths, block_base = tables
-    present = blocks != 0
-    present[:, 0] = True
     flat = np.flatnonzero(present)
-    values = blocks.ravel()[flat]
+    values = blocks.ravel()[flat].astype(np.int64, copy=False)
     zigzag = flat & 63
     is_ac = zigzag != 0
     size = np.frexp(values)[1].astype(np.int64)  # category: bit length of |value|
@@ -341,16 +356,17 @@ def _code_words(blocks, tables):
     return words, nbits, (at, zrl_words[zrl], zrl_lengths[zrl])
 
 
-def _encode_chunk(zz, preds, tables, carry, carry_bits):
+def _encode_chunk(zz, present, preds, tables, carry, carry_bits):
     """Code one chunk of MCUs, ``zz`` (n_mcus, n_comp, 64), into bytes.
 
-    ``zz`` is overwritten.  ``preds`` holds each component's DC predictor
+    ``present`` marks the coefficients coded as words (see _chunks).  ``zz``
+    is overwritten.  ``preds`` holds each component's DC predictor
     and is updated in place.  The chunk's bit stream starts with the
     ``carry_bits`` bits of ``carry``; the fewer than 8 bits left after its
     last whole byte are returned as the next (carry, carry_bits).
     """
     dc = zz[:, :, 0]
-    if np.abs(dc).max() > MAX_DC:
+    if dc.min() < -MAX_DC or dc.max() > MAX_DC:
         raise EncodingRangeError(
             f"DC coefficient magnitude exceeds {MAX_DC} (8-bit DCT range)"
         )
@@ -366,7 +382,7 @@ def _encode_chunk(zz, preds, tables, carry, carry_bits):
 
     # Blocks interleave one per component per MCU, so the rows of ``zz``
     # flattened are already in stream order.
-    words, nbits, zrl = _code_words(zz.reshape(-1, 64), tables)
+    words, nbits, zrl = _code_words(zz.reshape(-1, 64), present, tables)
     span = nbits
     if zrl:
         at, zrl_words, zrl_bits = zrl
@@ -383,6 +399,37 @@ def _encode_chunk(zz, preds, tables, carry, carry_bits):
     raw = out.astype(">u8").tobytes()
     whole, left = divmod(total, 8)
     return raw[:whole], (raw[whole] >> (8 - left) if left else 0), left
+
+
+def _chunks(arrays, n_mcus):
+    """Yield ``(zz, present)`` for runs of MCUs that tile ``range(n_mcus)``.
+
+    ``zz`` (n, n_comp, 64) holds the run's blocks in stream order and
+    ``present`` marks its coefficients coded as words: every DC and each
+    nonzero AC.  A run is first taken at the size the words per MCU of the
+    run before it allow (for the first, of the first _CHUNK_MCUS MCUs), and
+    cut after the last MCU that keeps it within _CHUNK_WORDS words.
+    """
+    n_comp = len(arrays)
+    # the codec's scans are int32; other input is coded from int64 as before
+    dtype = np.int32 if all(arr.dtype == np.int32 for arr in arrays) else np.int64
+    n = min(n_mcus, _CHUNK_MCUS)
+    words = n * n_comp + sum(np.count_nonzero(arr[:n]) for arr in arrays)
+    first = 0
+    while first < n_mcus:
+        stop = min(first + min(_CHUNK_MCUS, max(1, n * _CHUNK_WORDS // words)), n_mcus)
+        zz = np.empty((stop - first, n_comp, 64), dtype=dtype)
+        for c, arr in enumerate(arrays):
+            zz[:, c] = arr[first:stop]
+        present = zz != 0
+        present[:, :, 0] = True
+        n, words = len(zz), np.count_nonzero(present)
+        if words > _CHUNK_WORDS and n > 1:
+            ends = np.cumsum(present.reshape(n, -1).sum(axis=1))
+            n = max(1, int(np.searchsorted(ends, _CHUNK_WORDS, side="right")))
+            zz, present, words = zz[:n], present[:n], int(ends[n - 1])
+        yield zz, present
+        first += n
 
 
 def entropy_encode(component_blocks, dc_tables, ac_tables):
@@ -414,12 +461,8 @@ def entropy_encode(component_blocks, dc_tables, ac_tables):
     preds = np.zeros(n_comp, dtype=np.int64)
     parts = []
     carry = carry_bits = 0
-    for first in range(0, n_mcus, _CHUNK_MCUS):
-        stop = min(first + _CHUNK_MCUS, n_mcus)
-        zz = np.empty((stop - first, n_comp, 64), dtype=np.int64)
-        for c, arr in enumerate(arrays):
-            zz[:, c] = arr[first:stop]
-        data, carry, carry_bits = _encode_chunk(zz, preds, tables, carry, carry_bits)
+    for zz, present in _chunks(arrays, n_mcus):
+        data, carry, carry_bits = _encode_chunk(zz, present, preds, tables, carry, carry_bits)
         parts.append(data)
     if carry_bits:
         pad = 8 - carry_bits

@@ -18,56 +18,84 @@ DEFAULT_CLASSES = ("blobs", "gradients", "stripes", "speckle")
 
 
 def _smooth(field, passes=2):
+    """``passes`` rounds of the wrap-around 5-point mean; ``field`` is scratch.
+
+    Each element sums itself, then its neighbours above, below, left and
+    right, in that order, so the result is the same as adding four
+    ``np.roll`` copies, with one accumulator instead of them.
+    """
+    acc = np.empty_like(field)
     for _ in range(passes):
-        field = (
-            field
-            + np.roll(field, 1, 0) + np.roll(field, -1, 0)
-            + np.roll(field, 1, 1) + np.roll(field, -1, 1)
-        ) / 5.0
+        np.add(field[1:], field[:-1], out=acc[1:])
+        np.add(field[:1], field[-1:], out=acc[:1])
+        acc[:-1] += field[1:]
+        acc[-1:] += field[:1]
+        acc[:, 1:] += field[:, :-1]
+        acc[:, :1] += field[:, -1:]
+        acc[:, :-1] += field[:, 1:]
+        acc[:, -1:] += field[:, :1]
+        acc /= 5.0
+        field, acc = acc, field
     return field
 
 
 def _low_freq_field(rng, h, w, cell=8, amplitude=50.0):
     coarse = rng.normal(0.0, 1.0, size=(h // cell + 3, w // cell + 3))
-    up = np.kron(coarse, np.ones((cell, cell)))
     # random crop phase: cell edges must not align with the 8x8 DCT grid,
     # or fixed-phase structure biases the AC band means
     dy, dx = rng.integers(0, cell, size=2)
-    up = up[dy:dy + h, dx:dx + w]
-    return amplitude * _smooth(up, passes=3)
+    # each coarse value fills a cell x cell square, read by index
+    rows = (np.arange(h) + dy) // cell
+    cols = (np.arange(w) + dx) // cell
+    field = _smooth(coarse[rows[:, None], cols], passes=3)
+    field *= amplitude
+    return field
 
 
 def _base_luma(kind, rng, h, w):
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    # Coordinates broadcast as a column and a row; the sums below keep the
+    # order of full-plane expressions, term by term, into one array.
+    yy = np.arange(h, dtype=np.float64)[:, None]
+    xx = np.arange(w, dtype=np.float64)
     if kind == "blobs":
-        return 128 + _low_freq_field(rng, h, w, cell=12, amplitude=55) + rng.normal(
-            0, 2.0, (h, w)
-        )
+        luma = _low_freq_field(rng, h, w, cell=12, amplitude=55)
+        luma += 128
+        luma += rng.normal(0, 2.0, (h, w))
+        return luma
     if kind == "gradients":
         gx, gy = rng.uniform(-1.2, 1.2, size=2)
         cx, cy = rng.uniform(0.2, 0.8) * w, rng.uniform(0.2, 0.8) * h
-        radial = np.hypot(xx - cx, yy - cy) / max(h, w)
-        return (
-            128
-            + gx * (xx - w / 2)
-            + gy * (yy - h / 2)
-            + rng.uniform(-60, 60) * radial
-            + rng.normal(0, 3.0, (h, w))
-        )
+        radial = np.hypot(xx - cx, yy - cy)
+        radial /= max(h, w)
+        luma = 128 + gx * (xx - w / 2) + gy * (yy - h / 2)
+        radial *= rng.uniform(-60, 60)
+        luma += radial
+        del radial
+        luma += rng.normal(0, 3.0, (h, w))
+        return luma
     if kind == "stripes":
-        out = np.full((h, w), 128.0)
+        luma = np.full((h, w), 128.0)
+        wave = np.empty((h, w))
         for _ in range(3):
             freq = rng.uniform(0.03, 0.35)
             angle = rng.uniform(0, np.pi)
             phase = rng.uniform(0, 2 * np.pi)
             amp = rng.uniform(15, 45) / (1.0 + 6.0 * freq)
-            out += amp * np.sin(
-                2 * np.pi * freq * (np.cos(angle) * xx + np.sin(angle) * yy) + phase
-            )
-        return out + rng.normal(0, 4.0, (h, w))
+            np.add(np.cos(angle) * xx, np.sin(angle) * yy, out=wave)
+            wave *= 2 * np.pi * freq
+            wave += phase
+            np.sin(wave, out=wave)
+            wave *= amp
+            luma += wave
+        del wave
+        luma += rng.normal(0, 4.0, (h, w))
+        return luma
     if kind == "speckle":
         grain = _smooth(rng.normal(0, 28.0, (h, w)), passes=1)
-        return 128 + _low_freq_field(rng, h, w, cell=16, amplitude=35) + grain
+        luma = _low_freq_field(rng, h, w, cell=16, amplitude=35)
+        luma += 128
+        luma += grain
+        return luma
     raise ValueError(f"unknown image kind {kind!r}")
 
 
@@ -75,12 +103,14 @@ def synth_image(kind, rng, height, width, color=True):
     """One deterministic image of the given class kind."""
     luma = _base_luma(kind, rng, height, width)
     if not color:
-        return RasterImage.from_array(np.clip(luma, 0, 255).astype(np.uint8))
-    channels = []
-    for _ in range(3):
+        return RasterImage.from_array(np.clip(luma, 0, 255, out=luma).astype(np.uint8))
+    pixels = np.empty((height, width, 3), dtype=np.uint8)
+    for c in range(3):
         tint = _low_freq_field(rng, height, width, cell=16, amplitude=12)
-        channels.append(np.clip(luma + tint, 0, 255))
-    return RasterImage.from_array(np.stack(channels, axis=-1).astype(np.uint8))
+        tint += luma
+        pixels[:, :, c] = np.clip(tint, 0, 255, out=tint)
+        del tint  # or it is still held while the next channel's is built
+    return RasterImage.from_array(pixels)
 
 
 def generate_corpus(
