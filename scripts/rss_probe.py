@@ -2,11 +2,11 @@
 
     python3 scripts/rss_probe.py [--size 4096]
 
-A child process writes one size x size RGB image (``synth_image``
-"blobs") to a temporary directory, as a PPM and as a PNG whose rows cycle
-through filters None, Sub and Up; ``synth_image`` itself needs far more
-memory than the codec, so it never runs in a measured process.  Then four
-fresh interpreters each load their input and run one call:
+A child process makes one size x size RGB image (``synth_image``
+"blobs"), reports that call as the step ``synth``, and writes the image to
+a temporary directory, as a PPM and as a PNG whose rows cycle through
+filters None, Sub and Up.  Then four fresh interpreters each load their
+input and run one call:
 
 * ``encode``: ``encode_image`` with the QF-75 Annex-K pair, writing the
   JPEG that ``decode`` reads;
@@ -15,8 +15,9 @@ fresh interpreters each load their input and run one call:
 * ``load-png``: ``load_image`` of the PNG.  Average and Paeth rows are left
   out: their per-byte Python loop would take tens of seconds at 4096x4096.
 
-For each it prints the peak RSS after loading the input, the peak RSS of
-the whole process (``ru_maxrss``) and the call's seconds.  It reports and
+For each step it prints the peak RSS before the call (after loading the
+input), the peak RSS of the whole process (``ru_maxrss``) and the call's
+seconds.  It reports and
 never fails on a figure; it exits non-zero only if a step fails.
 """
 
@@ -58,13 +59,21 @@ def write_png(path, pixels):
                      + png_chunk(b"IDAT", zlib.compress(stream)) + png_chunk(b"IEND", b""))
 
 
+def report(step, loaded, seconds):
+    print(f"{step:<10} loaded {loaded:7.1f} MB  peak {peak_mb():7.1f} MB  {seconds:6.2f} s",
+          flush=True)
+
+
 def make_input(work, size):
     import numpy as np
 
     from statjpeg.imgfile import save_ppm
     from statjpeg.synth import synth_image
 
+    loaded = peak_mb()
+    start = time.perf_counter()
     img = synth_image("blobs", np.random.default_rng(0), size, size)
+    report("synth", loaded, time.perf_counter() - start)
     save_ppm(img, work / "image.ppm")
     write_png(work / "image.png", img.to_array())
 
@@ -91,8 +100,7 @@ def run_step(step, work):
     loaded = peak_mb()
     start = time.perf_counter()
     call()
-    seconds = time.perf_counter() - start
-    print(f"{step:<10} loaded {loaded:7.1f} MB  peak {peak_mb():7.1f} MB  {seconds:6.2f} s")
+    report(step, loaded, time.perf_counter() - start)
 
 
 def child(*args):

@@ -1,7 +1,6 @@
 """Image file loading (PPM/PGM, 8-bit PNG, baseline JPEG) and PPM saving."""
 
 import re
-import sys
 import zlib
 from pathlib import Path
 
@@ -142,18 +141,31 @@ def _load_png(data):
     channels = 1 if color_type == 0 else 3
     stride = width * channels
     expected = height * (stride + 1)
-    # inflate at most one byte past the raster IHDR declares; zlib takes the
-    # bound as a C ssize_t, which a (2**32 - 1)**2 RGB raster overflows
+    # Inflate the IDAT slices 64 KiB in, at most 1 MiB out, at a time straight
+    # into one raster buffer, and never past one byte beyond the declared
+    # raster.  Deflate codes at most 258 bytes in two bits (RFC 1951), so no
+    # stream inflates past 1032 times its size: a larger declared raster is
+    # never filled, and is not allocated.
+    raster = np.empty(min(expected, 1032 * sum(map(len, idat))), dtype=np.uint8)
+    out = memoryview(raster)
     inflate = zlib.decompressobj()
+    filled, step = 0, 1 << 16
     try:
-        raw = bytearray(inflate.decompress(b"".join(idat), min(expected + 1, sys.maxsize)))
+        for feed in (chunk[at:at + step] for chunk in idat for at in range(0, len(chunk), step)):
+            while True:
+                piece = inflate.decompress(feed, min(expected + 1 - filled, 1 << 20))
+                if filled + len(piece) > expected:
+                    raise UnsupportedFormatError(f"PNG raster has more than {expected} bytes")
+                out[filled:filled + len(piece)] = piece
+                filled += len(piece)
+                feed = inflate.unconsumed_tail
+                if not (feed or piece):  # input used up and nothing held back
+                    break
     except zlib.error as exc:
         raise UnsupportedFormatError(f"corrupt PNG image data: {exc}") from exc
-    if len(raw) > expected:
-        raise UnsupportedFormatError(f"PNG raster has more than {expected} bytes")
     if not inflate.eof:
         raise UnsupportedFormatError("corrupt PNG image data: truncated zlib stream")
-    if len(raw) != expected:
-        raise UnsupportedFormatError(f"PNG raster has {len(raw)} bytes, expected {expected}")
-    samples = _unfilter(np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1), channels)
+    if filled != expected:
+        raise UnsupportedFormatError(f"PNG raster has {filled} bytes, expected {expected}")
+    samples = _unfilter(raster.reshape(height, stride + 1), channels)
     return RasterImage(width, height, tuple(samples[:, c::channels] for c in range(channels)))

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -62,3 +63,13 @@ def corrupt_png():
     """A 1x1 grayscale PNG whose IDAT is not a zlib stream."""
     ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)
     return png_bytes([(b"IHDR", ihdr), (b"IDAT", b"not zlib data"), (b"IEND", b"")])
+
+
+def traced_peak(fn, *args):
+    """Peak bytes numpy and Python allocate during ``fn(*args)``, its result too."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

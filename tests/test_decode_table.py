@@ -1,11 +1,10 @@
 """The decoder's 16-bit lookup table against a slice-assignment reference."""
 
-import tracemalloc
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from statjpeg import huffman
 from statjpeg.huffman import _canonical_codes, _decode_lut, _extend
 
@@ -68,15 +67,6 @@ def valid_tables(draw):
 @given(valid_tables())
 def test_drawn_tables_match_reference(table):
     assert build(*table) == reference_lut(*table)
-
-
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("bits, values, dc", ANNEX_K)

@@ -35,5 +35,5 @@ def test_rss_probe_reports_every_step(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     steps = [line.split()[0] for line in result.stdout.splitlines()[1:]]
-    assert steps == ["encode", "decode", "accumulate", "load-png"]
+    assert steps == ["synth", "encode", "decode", "accumulate", "load-png"]
     assert list(tmp_path.iterdir()) == []

@@ -3,11 +3,13 @@ import io
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from statjpeg.errors import CorruptStreamError, InvalidInputError, UnsupportedSizeError
 from statjpeg.image import RasterImage
 from statjpeg.jfif import validate_structure
 from statjpeg.jpeg import decode_coefficients, decode_image, encode_image
 from statjpeg.quant import QuantTable, zigzag
+from statjpeg.synth import synth_image
 from statjpeg.tables import rm_hf_table, standard_table
 
 ONES = QuantTable(np.ones(64))
@@ -186,3 +188,13 @@ def test_declared_size_beyond_scan_rejected_before_allocating(rng):
     data[sof + 5:sof + 9] = b"\xff\xff\xff\xff"  # height, width
     with pytest.raises(CorruptStreamError, match="cannot hold"):
         decode_image(bytes(data))
+
+
+def test_dense_encode_needs_its_scans_and_2_mib():
+    # About 100 coded words per MCU at QF 100: the encoder's chunks are cut
+    # by words, and each strip is dropped before the next one is made.
+    img = synth_image("speckle", np.random.default_rng(1), 256, 256)
+    tables = standard_table(100, "luma"), standard_table(100, "chroma")
+    encode_image(img, *tables)  # builds the cached gathers and code arrays
+    scans = 3 * 32 * 32 * 64 * 4  # three int32 (n_blocks, 64) arrays
+    assert traced_peak(encode_image, img, *tables) <= scans + (2 << 20)

@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from statjpeg.synth import synth_image
+from conftest import traced_peak
+from statjpeg.synth import DEFAULT_CLASSES, synth_image
 
 # sha256 of ``synth_image(kind, default_rng(seed), height, width).to_array()``;
 # every digest in perfbench/golden.json and tests/test_byte_identity.py starts
@@ -60,3 +61,13 @@ def test_gray_image_is_pinned(key):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown image kind"):
         synth_image("plaid", np.random.default_rng(0), 8, 8)
+
+
+@pytest.mark.parametrize("kind", DEFAULT_CLASSES)
+def test_rgb_image_needs_few_float_planes(kind):
+    # The luma plane, two planes to smooth one tint, and the uint8 image
+    # (3/8 of a plane) make 3.4 float64 planes; 4.5 leaves room for small
+    # temporaries but not for one more whole-image copy.
+    synth_image(kind, np.random.default_rng(0), 16, 16)  # numpy's lazy imports
+    plane = 256 * 256 * 8
+    assert traced_peak(synth_image, kind, np.random.default_rng(1), 256, 256) <= 4.5 * plane
