@@ -17,8 +17,8 @@ input and run one call:
 
 For each step it prints the peak RSS before the call (after loading the
 input), the peak RSS of the whole process (``ru_maxrss``) and the call's
-seconds.  It reports and
-never fails on a figure; it exits non-zero only if a step fails.
+seconds.  It reports and never fails on a figure; it exits non-zero only if
+a step fails.
 """
 
 import argparse

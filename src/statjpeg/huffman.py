@@ -5,8 +5,9 @@ arrays (per set of scan tables) and each table's decode lookup table are
 built on first use and cached by (BITS, HUFFVAL), so importing the module
 builds none of them.
 
-Encoding is vectorized over a fixed number of MCUs at a time.  Each block
-becomes code words in stream order: one for the DC difference and one for
+Encoding is vectorized over chunks of MCUs, each bounded both in MCUs and
+in the code words it holds, so its temporaries stay small for dense and
+sparse scans alike.  Each block becomes code words in stream order: one for the DC difference and one for
 each nonzero AC coefficient, with the block's EOB appended to its last
 word and the ZRLs before a coefficient in a word of their own.  The words
 are ORed into big-endian 64-bit output words at their cumulative bit
@@ -286,7 +287,7 @@ def _pack(out, words, ends, nbits):
     head = (words << (np.uint64(64) - np.minimum(stop, np.uint64(64)))) >> (
         np.maximum(stop, np.uint64(64)) - np.uint64(64)
     )
-    starts = np.empty(idx.size, dtype=bool)
+    starts = np.empty(idx.size, dtype=bool)  # the first head in each output word
     starts[0] = True
     np.not_equal(idx[1:], idx[:-1], out=starts[1:])
     starts = np.flatnonzero(starts)
@@ -296,8 +297,9 @@ def _pack(out, words, ends, nbits):
 
 
 def _code_words(blocks, present, tables):
-    """Code words for ``blocks`` (n, 64), zig-zag order with DC differences,
-    whose coefficients marked in ``present`` are coded.
+    """Code words for the coefficients of ``blocks`` marked in ``present``.
+
+    ``blocks`` (n, 64) is in zig-zag order with DC differences.
 
     Returns ``(words, nbits, zrl)`` in stream order, one word per DC
     difference and per nonzero AC coefficient: ``words[i]`` holds
@@ -411,13 +413,14 @@ def _chunks(arrays, n_mcus):
     cut after the last MCU that keeps it within _CHUNK_WORDS words.
     """
     n_comp = len(arrays)
-    # the codec's scans are int32; other input is coded from int64 as before
+    # The codec's int32 scans are copied as int32, any other input as int64:
+    # int32 could wrap the out-of-range values the range checks must see.
     dtype = np.int32 if all(arr.dtype == np.int32 for arr in arrays) else np.int64
     n = min(n_mcus, _CHUNK_MCUS)
-    words = n * n_comp + sum(np.count_nonzero(arr[:n]) for arr in arrays)
+    words = n * n_comp + sum(np.count_nonzero(arr[:n]) for arr in arrays)  # at most
     first = 0
     while first < n_mcus:
-        stop = min(first + min(_CHUNK_MCUS, max(1, n * _CHUNK_WORDS // words)), n_mcus)
+        stop = min(n_mcus, first + min(_CHUNK_MCUS, max(1, n * _CHUNK_WORDS // words)))
         zz = np.empty((stop - first, n_comp, 64), dtype=dtype)
         for c, arr in enumerate(arrays):
             zz[:, c] = arr[first:stop]

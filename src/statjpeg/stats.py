@@ -163,6 +163,7 @@ class FrequencyStats:
                 coeffs[first:first + k * cols].reshape(k, cols, 8, 8)[...] = (
                     strip.reshape(k, 8, cols, 8).transpose(0, 2, 1, 3)
                 )
+            del strips, strip  # none is held while the next strip's are made
         for channel, planes in channels.items():
             for i in planes:
                 coeffs = blocks[i]

@@ -134,6 +134,33 @@ def test_density_jump_between_chunks_matches_oracle(n_comp):
     assert entropy_encode(comps, *tables) == expected
 
 
+def test_chunks_tile_the_scan_within_the_word_budget():
+    rng = np.random.default_rng(23)
+    comps = [
+        np.concatenate([
+            make_blocks(rng, CHUNK + 7, ("zero", "sparse"), False),
+            make_blocks(rng, 300, ("full",), False),
+        ])
+        for _ in range(3)
+    ]
+    runs = [(len(zz), np.count_nonzero(present)) for zz, present in
+            huffman._chunks(comps, CHUNK + 307)]
+    sizes, words = zip(*runs)
+    assert sum(sizes) == CHUNK + 307 and max(sizes) <= CHUNK
+    assert max(words) <= huffman._CHUNK_WORDS
+    assert len(runs) >= 300 * 3 * 64 // huffman._CHUNK_WORDS + 1
+
+
+@pytest.mark.parametrize("size, qf, chunks", [(96, 100, 1), (512, 25, 4)])
+def test_small_or_sparse_scans_keep_few_chunks(size, qf, chunks):
+    # A 96x96 image is one chunk even at QF 100, and a sparse 512x512 one
+    # (about 11 words per MCU) is cut by _CHUNK_MCUS alone.
+    img = synth_image("blobs", np.random.default_rng(2), size, size)
+    tables = [standard_table(qf, "luma")] + [standard_table(qf, "chroma")] * 2
+    comps = _scan_blocks(img, tables)
+    assert len(list(huffman._chunks(comps, len(comps[0])))) == chunks
+
+
 def test_encode_with_16_bit_zrl_code_matches_oracle():
     # Swap ZRL with the last Annex K luma symbol, which has a 16-bit code.
     # Three ZRLs, a 16-bit code, its magnitude bits and an EOB no longer
