@@ -368,7 +368,7 @@ def _encode_chunk(zz, present, preds, tables, carry, carry_bits):
     last whole byte are returned as the next (carry, carry_bits).
     """
     dc = zz[:, :, 0]
-    if dc.min() < -MAX_DC or dc.max() > MAX_DC:
+    if np.abs(dc, dtype=np.int64).max() > MAX_DC:
         raise EncodingRangeError(
             f"DC coefficient magnitude exceeds {MAX_DC} (8-bit DCT range)"
         )
@@ -409,18 +409,16 @@ def _chunks(arrays, n_mcus):
     ``zz`` (n, n_comp, 64) holds the run's blocks in stream order and
     ``present`` marks its coefficients coded as words: every DC and each
     nonzero AC.  A run is first taken at the size the words per MCU of the
-    run before it allow (for the first, of the first _CHUNK_MCUS MCUs), and
-    cut after the last MCU that keeps it within _CHUNK_WORDS words.
+    run before it allow (the first at _CHUNK_MCUS), and cut after the last
+    MCU that keeps it within _CHUNK_WORDS words.
     """
     n_comp = len(arrays)
     # The codec's int32 scans are copied as int32, any other input as int64:
     # int32 could wrap the out-of-range values the range checks must see.
     dtype = np.int32 if all(arr.dtype == np.int32 for arr in arrays) else np.int64
-    n = min(n_mcus, _CHUNK_MCUS)
-    words = n * n_comp + sum(np.count_nonzero(arr[:n]) for arr in arrays)  # at most
-    first = 0
+    first, size = 0, _CHUNK_MCUS
     while first < n_mcus:
-        stop = min(n_mcus, first + min(_CHUNK_MCUS, max(1, n * _CHUNK_WORDS // words)))
+        stop = min(n_mcus, first + size)
         zz = np.empty((stop - first, n_comp, 64), dtype=dtype)
         for c, arr in enumerate(arrays):
             zz[:, c] = arr[first:stop]
@@ -431,7 +429,10 @@ def _chunks(arrays, n_mcus):
             ends = np.cumsum(present.reshape(n, -1).sum(axis=1))
             n = max(1, int(np.searchsorted(ends, _CHUNK_WORDS, side="right")))
             zz, present, words = zz[:n], present[:n], int(ends[n - 1])
+            if 2 * n < len(ends):  # free most of an oversized run before coding
+                zz, present = zz.copy(), present.copy()
         yield zz, present
+        size = min(_CHUNK_MCUS, max(1, n * _CHUNK_WORDS // words))
         first += n
 
 
