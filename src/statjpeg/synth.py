@@ -70,7 +70,6 @@ def _base_luma(kind, rng, h, w):
         luma = 128 + gx * (xx - w / 2) + gy * (yy - h / 2)
         radial *= rng.uniform(-60, 60)
         luma += radial
-        del radial
         luma += rng.normal(0, 3.0, (h, w))
         return luma
     if kind == "stripes":
@@ -87,7 +86,6 @@ def _base_luma(kind, rng, h, w):
             np.sin(wave, out=wave)
             wave *= amp
             luma += wave
-        del wave
         luma += rng.normal(0, 4.0, (h, w))
         return luma
     if kind == "speckle":

@@ -63,7 +63,7 @@ def valid_tables(draw):
     return tuple(bits), tuple(values), draw(st.booleans())
 
 
-@settings(max_examples=40)
+@settings(max_examples=25)
 @given(valid_tables())
 def test_drawn_tables_match_reference(table):
     assert build(*table) == reference_lut(*table)
