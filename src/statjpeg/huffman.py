@@ -192,6 +192,7 @@ def _decode_lut(bits, values, dc):
     if any, follow.  ``consume == 0``: no code has this prefix.  Equal
     entries share one tuple.
     """
+    # a tuple, as it is shared by every call through the cache
     return tuple(itertools.chain.from_iterable(_lut_runs(bits, values, dc)))
 
 

@@ -49,9 +49,9 @@ def _scan_blocks(img, tables):
     rows, cols = block_grid(img.width, img.height)
     scans = [np.empty((rows * cols, 64), dtype=np.int32) for _ in tables]
     for first, strips in sample_strips(img, len(tables)):
-        for table, scan in zip(tables, scans):
-            # popped, so no strip is held while the next ones are made
-            quantize_strip(forward_dct_rows(strips.pop(0)), table, scan[first:])
+        for strip, table, scan in zip(strips, tables, scans):
+            quantize_strip(forward_dct_rows(strip), table, scan[first:])
+        del strips, strip  # none is held while the next strip's are made
     return scans
 
 
