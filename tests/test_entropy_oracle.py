@@ -118,8 +118,8 @@ def test_image_ending_inside_first_chunk_matches_oracle():
 @pytest.mark.parametrize("n_comp", [1, 3])
 def test_density_jump_between_chunks_matches_oracle(n_comp):
     # Over a thousand MCUs of about one word per block, then blocks whose
-    # every coefficient is a word, then sparse ones again: a chunk sized by
-    # the words of the MCUs before it would hold far more words than that.
+    # every coefficient is a word, then sparse ones again: the chunk sized
+    # from the sparse run's words per MCU must be cut inside the dense run.
     rng = np.random.default_rng(17 + n_comp)
     comps = [
         np.concatenate([
