@@ -7,12 +7,12 @@ builds none of them.
 
 Encoding is vectorized over chunks of MCUs, each bounded both in MCUs and
 in the code words it holds, so its temporaries stay small for dense and
-sparse scans alike.  Each block becomes code words in stream order: one for the DC difference and one for
-each nonzero AC coefficient, with the block's EOB appended to its last
-word and the ZRLs before a coefficient in a word of their own.  The words
-are ORed into big-endian 64-bit output words at their cumulative bit
-positions, and 0xFF stuffing is one ``bytes.replace`` over the finished
-scan.
+sparse scans alike.  Each block becomes code words in stream order: one
+for the DC difference and one for each nonzero AC coefficient, with the
+block's EOB appended to its last word and the ZRLs before a coefficient in
+a word of their own.  The words are ORed into big-endian 64-bit output
+words at their cumulative bit positions, and 0xFF stuffing is one
+``bytes.replace`` over the finished scan.
 
 Decoding reads the scan through a window: ``win[p]`` holds the 16 scan
 bits that start at bit ``p``, built with numpy for a bounded span of scan
