@@ -81,24 +81,42 @@ def luma_samples(r, g, b):
     return _round_clamp(y)
 
 
-def ycbcr_to_rgb(y, cb, cr):
-    """Convert float Y, Cb, Cr arrays to float R, G, B (not yet rounded)."""
-    r, g, b, cr_s = _buffers(4, y, cb, cr)
-    cb_s = b  # cb - 128.0 lives in b until b itself is computed
-    np.subtract(cb, 128.0, out=cb_s, dtype=np.float64)
-    np.subtract(cr, 128.0, out=cr_s, dtype=np.float64)
+def _ycbcr_to_rgb_in_place(y, cb, cr):
+    """R, G, B of float64 Y, Cb, Cr arrays of one shape, partly in place.
+
+    B is written over ``cb`` and ``cr`` is used as scratch, so with R and G
+    the conversion holds five planes at its peak.  ``y`` is not changed.
+    """
+    cb_s = np.subtract(cb, 128.0, out=cb)
+    cr_s = np.subtract(cr, 128.0, out=cr)
+    r, g = np.empty_like(y), np.empty_like(y)
     # r = y + 1.402 * cr
     np.multiply(1.402, cr_s, out=r)
-    np.add(y, r, out=r, dtype=np.float64)
+    np.add(y, r, out=r)
     # g = y - 0.344136 * cb - 0.714136 * cr
     np.multiply(0.344136, cb_s, out=g)
-    np.subtract(y, g, out=g, dtype=np.float64)
+    np.subtract(y, g, out=g)
     np.multiply(0.714136, cr_s, out=cr_s)
     np.subtract(g, cr_s, out=g)
     # b = y + 1.772 * cb
-    np.multiply(1.772, cb_s, out=b)
-    np.add(y, b, out=b, dtype=np.float64)
-    return r[()], g[()], b[()]
+    b = np.multiply(1.772, cb_s, out=cb)
+    np.add(y, b, out=b)
+    return r, g, b
+
+
+def _float64_copies(*arrays):
+    """Float64 copies of the inputs, broadcast to one shape."""
+    copies = _buffers(len(arrays), *arrays)
+    for copy, array in zip(copies, arrays):
+        np.copyto(copy, array)
+    return copies
+
+
+def ycbcr_to_rgb(y, cb, cr):
+    """Convert float Y, Cb, Cr arrays to float R, G, B (not yet rounded)."""
+    rgb = _ycbcr_to_rgb_in_place(*_float64_copies(y, cb, cr))
+    # [()] gives 0-d inputs scalar results, as plain numpy arithmetic does
+    return tuple(plane[()] for plane in rgb)
 
 
 def ycbcr_samples(r, g, b):
@@ -107,8 +125,12 @@ def ycbcr_samples(r, g, b):
 
 
 def rgb_samples(y, cb, cr):
-    """Rounded, clamped R, G, B as float64: the uint8 samples, exactly."""
-    return [_round_clamp(plane) for plane in ycbcr_to_rgb(y, cb, cr)]
+    """Rounded, clamped R, G, B as float64: the uint8 samples, exactly.
+
+    ``y``, ``cb`` and ``cr`` are float64 arrays of one shape; ``cb`` and
+    ``cr`` are overwritten (see _ycbcr_to_rgb_in_place).
+    """
+    return [_round_clamp(plane) for plane in _ycbcr_to_rgb_in_place(y, cb, cr)]
 
 
 def color_convert_forward(img):
@@ -120,6 +142,8 @@ def color_convert_forward(img):
 
 def color_convert_inverse(y, cb, cr):
     """Rebuild an RGB :class:`RasterImage` from uint8 Y, Cb, Cr planes."""
-    planes = tuple(plane.astype(np.uint8) for plane in rgb_samples(y, cb, cr))
+    planes = tuple(
+        plane.astype(np.uint8) for plane in rgb_samples(*_float64_copies(y, cb, cr))
+    )
     h, w = planes[0].shape
     return RasterImage(w, h, planes)

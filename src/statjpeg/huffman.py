@@ -107,8 +107,9 @@ _CHUNK_MCUS = 1024
 _CHUNK_WORDS = 1 << 14
 
 # Scan bytes the decoder builds its 16-bit window for at a time.  The window
-# takes 16 bytes per scan byte, so this bounds it at about 1 MB for any scan.
-_WINDOW_BYTES = 1 << 16
+# takes 16 bytes per scan byte, so this bounds it at about 256 KiB for any
+# scan.
+_WINDOW_BYTES = 1 << 14
 
 # Bits one block can read, for any byte string: a DC code and its magnitude
 # (16 + 11 bits), then at most 63 AC reads of a code and its magnitude
@@ -414,9 +415,10 @@ def _chunks(arrays, n_mcus):
     MCU that keeps it within _CHUNK_WORDS words.
     """
     n_comp = len(arrays)
-    # The codec's int32 scans are copied as int32, any other input as int64:
-    # int32 could wrap the out-of-range values the range checks must see.
-    dtype = np.int32 if all(arr.dtype == np.int32 for arr in arrays) else np.int64
+    # The codec's int16 scans are copied as int16, any other input as int64:
+    # a narrower copy could wrap the out-of-range values the range checks
+    # must see.
+    dtype = np.int16 if all(arr.dtype == np.int16 for arr in arrays) else np.int64
     first, size = 0, _CHUNK_MCUS
     while first < n_mcus:
         stop = min(n_mcus, first + size)
@@ -475,15 +477,16 @@ def entropy_encode(component_blocks, dc_tables, ac_tables):
     return b"".join(parts).replace(b"\xff", b"\xff\x00")
 
 
-def _window(padded, first, stop):
-    """``win[i]``: the 16 bits of ``padded`` that start at bit ``8 * first + i``.
+def _window(buf, first, stop):
+    """``win[i]``: the 16 bits of ``buf`` that start at bit ``8 * first + i``.
 
-    Covers ``i < 8 * (stop - first)``; ``padded`` must hold ``stop + 3``
-    bytes.  One unaligned big-endian 32-bit view at byte stride gives every
-    byte's next four bytes, and each of the 8 bit offsets is one shift.
+    Covers ``i < 8 * (stop - first)``, reading 0xFF past the end of ``buf``.
+    One unaligned big-endian 32-bit view at byte stride gives every byte's
+    next four bytes, and each of the 8 bit offsets is one shift.
     """
     n = stop - first
-    words = np.ndarray((n,), dtype=">u4", buffer=padded, offset=first, strides=(1,))
+    padded = buf[first:stop + 3].ljust(n + 3, b"\xff")
+    words = np.ndarray((n,), dtype=">u4", buffer=padded, strides=(1,))
     win = np.empty((n, 8), dtype=np.uint16)
     for bit in range(8):
         np.right_shift(words, 16 - bit, out=win[:, bit], casting="unsafe")
@@ -493,9 +496,9 @@ def _window(padded, first, stop):
 def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
     """Exact inverse of :func:`entropy_encode`.
 
-    Returns one (n_mcus, 64) int32 zig-zag array per component.  Raises
+    Returns one (n_mcus, 64) int16 zig-zag array per component.  Raises
     :class:`CorruptStreamError` (with a byte offset) for invalid prefixes,
-    out-of-range symbols or runs, a DC value outside int32, truncation,
+    out-of-range symbols or runs, a DC value outside int16, truncation,
     trailing data, bare markers inside the scan, and a scan too short for
     the declared block count.
     """
@@ -522,7 +525,7 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
         offset = base_offset + unstuffed + buf.count(b"\xff", 0, unstuffed)
         return CorruptStreamError(message, offset=offset)
 
-    out = [np.zeros(64 * n_mcus, dtype=np.int32) for _ in range(n_comp)]
+    out = [np.zeros(64 * n_mcus, dtype=np.int16) for _ in range(n_comp)]
     comps = [
         (
             c,
@@ -545,7 +548,6 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
     # block past the end is caught after the loop.
     margin = _BLOCK_BITS * n_comp
     reach = margin // 8 + 2  # window bytes past ``limit``, with the last peek
-    padded = buf + b"\xff" * (reach + 8)
     origin = p = 0  # bits consumed = origin + p
     limit = -1
     for base in range(0, 64 * n_mcus, 64):
@@ -553,7 +555,7 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
             first = (origin >> 3) + (p >> 3)
             origin, p = 8 * first, p & 7
             last = max(first, min(first + _WINDOW_BYTES, len(buf)))
-            win = _window(padded, first, last + reach)
+            win = _window(buf, first, last + reach)
             limit = 8 * (last - first)
         for c, dc_lut, ac_lut, coef in comps:
             ln, size, value = dc_lut[win[p]]
@@ -571,9 +573,9 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
             preds[c] = value
             try:
                 coef[base] = value
-            except ValueError:  # the int32 store; differences are unbounded
+            except ValueError:  # the int16 store; differences are unbounded
                 raise corrupt(
-                    f"DC value {value} outside the int32 range", origin + p
+                    f"DC value {value} outside the int16 range", origin + p
                 ) from None
 
             k = base  # index of the last coefficient stored

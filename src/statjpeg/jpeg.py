@@ -40,14 +40,14 @@ def _component_layout(channels, single_table):
 
 
 def _scan_blocks(img, tables):
-    """Zig-zag (n_blocks, 64) int32 quantized blocks, one array per table
+    """Zig-zag (n_blocks, 64) int16 quantized blocks, one array per table
     for the image's first ``len(tables)`` components.
 
     Per strip: color forward, level shift, DCT, quantization and the
     zig-zag gather, each in the strip's row layout.
     """
     rows, cols = block_grid(img.width, img.height)
-    scans = [np.empty((rows * cols, 64), dtype=np.int32) for _ in tables]
+    scans = [np.empty((rows * cols, 64), dtype=np.int16) for _ in tables]
     for first, strips in sample_strips(img, len(tables)):
         for strip, table, scan in zip(strips, tables, scans):
             quantize_strip(forward_dct_rows(strip), table, scan[first:])
@@ -92,7 +92,7 @@ def encode_image(img, luma_table, chroma_table=None):
 def _decode(data):
     """Parse and entropy-decode a file.
 
-    Returns (parsed, scans, tables) with one zig-zag (n_blocks, 64) int
+    Returns (parsed, scans, tables) with one zig-zag (n_blocks, 64) int16
     array and one QuantTable per component.
     """
     parsed = jfif.parse_jpeg(bytes(data))
@@ -111,8 +111,8 @@ def _decode(data):
 def decode_coefficients(data):
     """Parse a file and return its quantized coefficient blocks.
 
-    Returns (blocks, tables): one (n_blocks, 64) natural-order int array and
-    one QuantTable per component.  Useful for inspecting what an encoder
+    Returns (blocks, tables): one (n_blocks, 64) natural-order int16 array
+    and one QuantTable per component.  Useful for inspecting what an encoder
     actually stored (e.g. which bands were zeroed).
     """
     _, scans, tables = _decode(data)
@@ -127,6 +127,7 @@ def decode_image(data):
     """
     parsed, scans, tables = _decode(data)
     width, height = parsed.width, parsed.height
+    del parsed  # its scan bytes are not held while the strips are made
     cols = block_grid(width, height)[1]
     planes = [np.empty((height, width), dtype=np.uint8) for _ in scans]
     for top, stop in strip_bounds(width, height):

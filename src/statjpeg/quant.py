@@ -165,9 +165,9 @@ def _strip_steps(table, width):
 def quantize_strip(coeffs, table, out):
     """Quantize an ``(8k, 8m)`` strip of coefficients into zig-zag rows.
 
-    Writes the strip's k * m blocks as int32 rows to the start of ``out``,
-    equal to ``zigzag(quantize(blocks, table))`` of the same blocks.
-    ``coeffs`` (float64, row layout) is overwritten.
+    Writes the strip's k * m blocks as rows of ``out``'s integer dtype to the
+    start of ``out``, equal to ``zigzag(quantize(blocks, table))`` of the
+    same blocks.  ``coeffs`` (float64, row layout) is overwritten.
     """
     height, width = coeffs.shape
     scan_index, _ = _strip_gather(height // 8, width // 8)
@@ -175,7 +175,7 @@ def quantize_strip(coeffs, table, out):
     scaled /= _strip_steps(table, width)
     scaled += np.copysign(0.5, scaled)  # as in quantize
     rows = out[:len(scan_index)]
-    np.take(scaled.astype(np.int32), scan_index, out=rows, mode="clip")  # unbuffered
+    np.take(scaled.astype(out.dtype), scan_index, out=rows, mode="clip")  # unbuffered
     if table._drop.size:
         rows[:, ZIGZAG_POSITION[table._drop]] = 0
 

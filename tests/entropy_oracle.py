@@ -18,6 +18,7 @@ from statjpeg.errors import CorruptStreamError, EncodingRangeError, InvalidInput
 from statjpeg.huffman import MAX_AC, MAX_DC, MAX_DC_DIFF
 
 _LUT_BITS = 16
+_INT16 = np.iinfo(np.int16)
 
 
 @functools.lru_cache(maxsize=64)
@@ -204,6 +205,10 @@ def _decode_block(reader, out, pred, dc_lut, ac_lut):
         )
     diff = _extend(reader.read(size), size) if size else 0
     dc = pred + diff
+    if not _INT16.min <= dc <= _INT16.max:
+        raise CorruptStreamError(
+            f"DC value {dc} outside the int16 range", offset=reader.offset()
+        )
     out[0] = dc
     k = 1
     while k < 64:
@@ -280,15 +285,15 @@ def entropy_encode(component_blocks, dc_tables, ac_tables):
 def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
     """Exact inverse of :func:`entropy_encode`.
 
-    Returns one (n_mcus, 64) int32 zig-zag array per component.  Raises
+    Returns one (n_mcus, 64) int16 zig-zag array per component.  Raises
     :class:`CorruptStreamError` (with a byte offset) for invalid prefixes,
-    truncation, or bare markers inside the scan.
+    a DC value outside int16, truncation, or bare markers inside the scan.
     """
     n_comp = len(dc_tables)
     if len(ac_tables) != n_comp:
         raise InvalidInputError("need one DC and one AC table per component")
     reader = BitReader(data, base_offset)
-    out = [np.zeros((n_mcus, 64), dtype=np.int32) for _ in range(n_comp)]
+    out = [np.zeros((n_mcus, 64), dtype=np.int16) for _ in range(n_comp)]
     preds = [0] * n_comp
     dc_luts = [_build_tables(t.bits, t.values)[1] for t in dc_tables]
     ac_luts = [_build_tables(t.bits, t.values)[1] for t in ac_tables]

@@ -118,6 +118,16 @@ def test_dc_beyond_dct_range_rejected():
         encode1(blocks)
 
 
+@pytest.mark.parametrize("position, message", [(0, "DC"), (5, "AC")])
+def test_int16_minus_32768_rejected(position, message):
+    # |-32768| wraps to -32768 in int16, so the range checks of the codec's
+    # int16 scans must not take magnitudes at int16
+    blocks = np.zeros((2, 64), dtype=np.int16)
+    blocks[1, position] = -32768
+    with pytest.raises(EncodingRangeError, match=message):
+        encode1(blocks)
+
+
 def test_dc_diff_beyond_category_eleven_rejected():
     # +1024 then -1024 would need a category-12 difference
     blocks = np.zeros((2, 64), dtype=np.int64)
@@ -210,18 +220,20 @@ def test_huffman_table_takes_bytes_and_numpy_integers():
     assert all(type(v) is int for v in table.bits + table.values)
 
 
-def test_dc_beyond_int32_is_corrupt_stream():
+def test_dc_beyond_int16_is_corrupt_stream():
     # 1-bit tables: DC category 11 is "0" and EOB is "0".  Each block is
     # "0", eleven 1-bits (+2047) and "0", so the DC predictor passes the
-    # int32 maximum at block 1,049,089 of 1,049,090.
-    n = 1_049_090
+    # int16 maximum at block 17 of 20, once that block's 12 DC bits are read.
+    n = 20
     dc, ac = HuffmanTable([1] + [0] * 15, [11]), HuffmanTable([1] + [0] * 15, [0x00])
     block = np.array([0] + [1] * 11 + [0], dtype=np.uint8)
     bits = np.concatenate([np.tile(block, n), np.ones(-13 * n % 8, dtype=np.uint8)])
-    data = np.packbits(bits).tobytes().replace(b"\xff", b"\xff\x00")
-    with pytest.raises(CorruptStreamError, match="int32") as err:
+    raw = np.packbits(bits).tobytes()
+    data = raw.replace(b"\xff", b"\xff\x00")
+    with pytest.raises(CorruptStreamError, match="DC value 34799 outside the int16") as err:
         entropy_decode(data, n, [dc], [ac], base_offset=100)
-    assert 100 < err.value.offset < 100 + len(data)
+    read = (16 * 13 + 12) // 8  # whole unstuffed bytes read
+    assert err.value.offset == 100 + read + raw.count(b"\xff", 0, read)
 
 
 def test_import_builds_no_coding_table():

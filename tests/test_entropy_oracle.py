@@ -84,7 +84,9 @@ def outcome(fn, *args):
 def same_decode(a, b):
     if isinstance(a, tuple) or isinstance(b, tuple):
         return a == b
-    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b)
+    )
 
 
 @pytest.mark.parametrize("n_mcus", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
@@ -221,12 +223,12 @@ def check_decode(data, n_mcus, tables, base_offset):
     assert same_decode(got, expected), (got, expected)
 
 
-@st.composite
-def huffman_tables(draw, dc):
-    """A valid table over random symbols, with random code lengths."""
-    alphabet = range(16) if dc else range(256)
-    symbols = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=40, unique=True))
-    lengths = draw(st.lists(st.integers(1, 16), min_size=len(symbols), max_size=len(symbols)))
+def table_with_lengths(symbols, lengths):
+    """A valid table giving ``symbols[i]`` a code of about ``lengths[i]`` bits.
+
+    Lengths are raised, shortest first, until the code space is not full.
+    """
+    lengths = list(lengths)
     while sum(1 << (16 - n) for n in lengths) >= 1 << 16:
         shortest = lengths.index(min(lengths))
         lengths[shortest] += 1
@@ -235,6 +237,15 @@ def huffman_tables(draw, dc):
         bits[n - 1] += 1
     order = sorted(range(len(symbols)), key=lambda i: lengths[i])
     return HuffmanTable(bits, [symbols[i] for i in order])
+
+
+@st.composite
+def huffman_tables(draw, dc):
+    """A valid table over random symbols, with random code lengths."""
+    alphabet = range(16) if dc else range(256)
+    symbols = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=40, unique=True))
+    lengths = draw(st.lists(st.integers(1, 16), min_size=len(symbols), max_size=len(symbols)))
+    return table_with_lengths(symbols, lengths)
 
 
 @settings(max_examples=150)
@@ -248,6 +259,43 @@ def test_decode_arbitrary_bytes_matches_oracle(dc, ac, data, n_mcus):
     # Random tables reach what the Annex K ones cannot: DC categories
     # above 11, invalid AC symbols, and codes too long for one lookup.
     check_decode(data, n_mcus, ([dc], [ac]), 0)
+
+
+@pytest.mark.parametrize("diffs", [
+    [2047] * 16 + [15, 1, -5, 3],  # 32767 is kept, 32768 is not
+    [-2047] * 16 + [-16, -1, 2047, 0],  # -32768 is kept, -32769 is not
+], ids=["above", "below"])
+def test_dc_predictor_leaving_int16_matches_oracle(diffs):
+    # Random code lengths; blocks alternate EOB and AC +1 then EOB.  The DC
+    # predictor reaches an int16 limit and passes it two blocks before the
+    # scan ends.
+    rng = np.random.default_rng(20)
+    tables = (
+        [table_with_lengths(list(range(16)), rng.integers(1, 17, size=16))],
+        [table_with_lengths([0x00, 0x01], rng.integers(1, 17, size=2))],
+    )
+    dc_codes, ac_codes = (oracle._build_tables(t[0].bits, t[0].values)[0] for t in tables)
+
+    def scan(n):
+        writer = oracle.BitWriter()
+        for i, diff in enumerate(diffs[:n]):
+            size = abs(diff).bit_length()
+            writer.write(*dc_codes[size])
+            writer.write(oracle._value_bits(diff, size), size)
+            if i % 2:
+                writer.write(*ac_codes[0x01])
+                writer.write(1, 1)
+            writer.write(*ac_codes[0x00])
+        return writer.getvalue()
+
+    cross = len(diffs) - 3
+    kept = entropy_decode(scan(cross), cross, *tables)
+    assert kept[0][:, 0].tolist() == np.cumsum(diffs[:cross]).tolist()
+    check_decode(scan(cross), cross, tables, 613)
+    data = scan(len(diffs))
+    got = outcome(entropy_decode, data, len(diffs), *tables, 613)
+    assert got[0] is CorruptStreamError and "outside the int16 range" in got[1]
+    check_decode(data, len(diffs), tables, 613)
 
 
 def bits_to_bytes(bits):
@@ -292,7 +340,7 @@ def test_zero_run_may_end_exactly_at_block_end():
     # DC category 0, 15 coefficients of +1, then three ZRLs (11111111001)
     # take zig-zag 16..63: the block is complete without an EOB.
     data = bits_to_bytes("00" + "001" * 15 + "11111111001" * 3)
-    expected = np.zeros((1, 64), dtype=np.int32)
+    expected = np.zeros((1, 64), dtype=np.int16)
     expected[0, 1:16] = 1
     for decode in (oracle.entropy_decode, entropy_decode):
         np.testing.assert_array_equal(decode(data, 1, [DC_LUMA], [AC_LUMA])[0], expected)
@@ -482,7 +530,7 @@ def test_full_code_space_ones_heavy_bytes_match_oracle(data, n_mcus):
 
 
 # Windows of 1 and 7 scan bytes are rebuilt at nearly every MCU, so every
-# decode below crosses window boundaries; the default one holds 64 KB.
+# decode below crosses window boundaries; the default one holds 16 KB.
 SMALL_WINDOWS = [1, 7]
 
 

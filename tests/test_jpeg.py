@@ -193,8 +193,19 @@ def test_declared_size_beyond_scan_rejected_before_allocating(rng):
 def test_dense_encode_needs_its_scans_and_2_mib():
     # About 100 coded words per MCU at QF 100: the encoder's chunks are cut
     # by words, and each strip is dropped before the next one is made.
-    img = synth_image("speckle", np.random.default_rng(1), 256, 256)
+    img = synth_image("speckle", np.random.default_rng(1), 512, 512)
     tables = standard_table(100, "luma"), standard_table(100, "chroma")
     encode_image(img, *tables)  # builds the cached gathers and code arrays
-    scans = 3 * 32 * 32 * 64 * 4  # three int32 (n_blocks, 64) arrays
+    scans = 3 * 64 * 64 * 64 * 2  # three int16 (n_blocks, 64) arrays
     assert traced_peak(encode_image, img, *tables) <= scans + (2 << 20)
+
+
+def test_decode_needs_its_scans_output_and_one_strip():
+    # The int16 scans (1.5 MiB), the uint8 output (0.75 MiB) and one
+    # 64-row strip's five float64 planes (1.25 MiB) during color inverse.
+    # A flat image codes only DC and EOB: tracing every int the per-symbol
+    # loop makes slows a dense decode about 40x.
+    img = RasterImage.from_array(np.full((512, 512, 3), 100, dtype=np.uint8))
+    data = encode_image(img, standard_table(100, "luma"), standard_table(100, "chroma"))
+    decode_image(data)  # builds the cached gathers and decode tables
+    assert traced_peak(decode_image, data) <= 4 << 20

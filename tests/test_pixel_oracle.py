@@ -214,7 +214,8 @@ def test_strip_pipeline_matches_whole_plane_reference(data, channels, strip_samp
         sparsity = coefficient_sparsity(img, luma)
         band_values = band_coefficients(img, band)
     for got, want in zip(scans, want_scans):
-        assert_identical(got, want)
+        assert got.dtype == np.int16  # the oracle's are int32
+        assert_identical(got.astype(want.dtype), want)
     for got, want in zip(decoded.planes, want_pixels):
         assert_identical(got, want)
     for mode, want_mode in want_stats.items():
