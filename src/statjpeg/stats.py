@@ -1,5 +1,9 @@
 """Dataset frequency statistics: interval sampling of a class-per-directory
-corpus, block-wise DCT, and per-band streaming mean/deviation statistics.
+corpus, and the per-band mean and deviation of the 8x8 block DCT over it.
+
+The DCT is linear, so the band statistics follow from the count, sums and
+products of the integer sample blocks, which add exactly: no coefficient is
+formed, and any strip height, merge order or image order gives the same bits.
 
 The per-band spread (population standard deviation of the un-quantized DCT
 coefficients) is the signal the table designer maps to quantization steps.
@@ -12,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import block_grid, sample_strips
-from .dct import forward_dct_rows
+from .blocks import sample_strips
+from .dct import _BASIS
 from .errors import (
     EmptySampleWarning,
     InsufficientDataError,
@@ -33,6 +37,9 @@ PER_CHANNEL = "per-channel"
 
 N_BANDS = 64
 STATS_SCHEMA_VERSION = 1
+
+# the 2-D DCT of a row-major 8x8 block as one 64x64 matrix: band 8u+v
+_DCT_MATRIX = np.kron(_BASIS, _BASIS)
 
 
 def write_json(doc, path):
@@ -116,10 +123,14 @@ class FrequencyStats:
         self.channel_mode = channel_mode
         self.source_digest = source_digest
         channels = ["y"] if channel_mode == LUMA_ONLY else ["y", "chroma"]
-        # per channel: block count, per-band mean, per-band sum of squared
-        # deviations from the mean
+        # per channel: block count n, the 64 sums s and the 64x64 Gram matrix
+        # G of the level-shifted sample blocks.  Samples are integers in
+        # [-128, 127], so each product is at most 2**14, and every float64 sum
+        # is an exact integer while n < 2**53 / 2**14 = 2**39, about 5e11
+        # blocks: any strip height, merge order or BLAS grouping gives the
+        # same bits.
         self.moments = {
-            name: (0, np.zeros(N_BANDS), np.zeros(N_BANDS)) for name in channels
+            name: (0, np.zeros(N_BANDS), np.zeros((N_BANDS, N_BANDS))) for name in channels
         }
 
     def _channel_planes(self, img):
@@ -132,52 +143,28 @@ class FrequencyStats:
             )
         return {"y": [0], "chroma": [1, 2]}
 
-    def _merge_moments(self, channel, count, mean, m2):
-        """Fold (count, mean[64], m2[64]) into a channel (Chan et al.'s
-        parallel combination, so merge order only perturbs the last bits)."""
-        if count == 0:
-            return
-        own_count, own_mean, own_m2 = self.moments[channel]
-        total = own_count + count
-        delta = mean - own_mean
-        # the grouping of the m2 sum decides the last bits of every stddev
-        self.moments[channel] = (
-            total,
-            own_mean + delta * count / total,
-            own_m2 + (m2 + delta * delta * own_count * count / total),
-        )
+    def _add(self, channel, count, sums, gram):
+        own_count, own_sums, own_gram = self.moments[channel]
+        self.moments[channel] = (own_count + count, own_sums + sums, own_gram + gram)
 
     def accumulate_image(self, img):
-        """Fold every 8x8 block's un-quantized DCT coefficients in.
-
-        Strips fill one (n_blocks, 64) array per component; each is folded whole.
-        """
+        """Fold every 8x8 sample block in, one strip at a time."""
         channels = self._channel_planes(img)
-        rows, cols = block_grid(img.width, img.height)
-        blocks = {i: np.empty((rows * cols, N_BANDS)) for planes in channels.values()
-                  for i in planes}
-        for first, strips in sample_strips(img, len(blocks)):
-            for i, coeffs in blocks.items():
-                strip = forward_dct_rows(strips[i])
-                k = strip.shape[0] // 8
-                coeffs[first:first + k * cols].reshape(k, cols, 8, 8)[...] = (
-                    strip.reshape(k, 8, cols, 8).transpose(0, 2, 1, 3)
-                )
-            del strips, strip  # none is held while the next strip's are made
-        for channel, planes in channels.items():
-            for i in planes:
-                coeffs = blocks[i]
-                mean = coeffs.mean(axis=0)
-                coeffs -= mean
-                m2 = np.square(coeffs, out=coeffs).sum(axis=0)
-                self._merge_moments(channel, coeffs.shape[0], mean, m2)
+        for _, strips in sample_strips(img, sum(map(len, channels.values()))):
+            for channel, planes in channels.items():
+                for i in planes:
+                    height, width = strips[i].shape
+                    x = (strips[i].reshape(height // 8, 8, width // 8, 8)
+                         .transpose(0, 2, 1, 3).reshape(-1, N_BANDS))
+                    self._add(channel, x.shape[0], x.sum(axis=0), x.T @ x)
+            del strips, x  # none is held while the next strip's are made
         return self
 
     def merge(self, other):
         if other.channel_mode != self.channel_mode:
             raise InvalidInputError("cannot merge stats with different channel modes")
         for channel, moments in other.moments.items():
-            self._merge_moments(channel, *moments)
+            self._add(channel, *moments)
         return self
 
     @property
@@ -185,14 +172,26 @@ class FrequencyStats:
         return sum(count for count, _, _ in self.moments.values())
 
     def finalize(self):
-        """Freeze into a :class:`FrequencySummary`; needs >= 2 blocks per band."""
+        """Freeze into a :class:`FrequencySummary`; needs >= 2 blocks per band.
+
+        With ``K`` the 2-D DCT as a 64x64 matrix, the band means are
+        ``K s / n`` and the band variances ``diag(K C K^T) / n**2`` for the
+        scatter ``C = n G - s s^T``, formed exactly in Python ints.
+        """
         channels = {}
-        for channel, (count, mean, m2) in self.moments.items():
+        for channel, (count, sums, gram) in self.moments.items():
             if count < 2:
                 raise InsufficientDataError(
                     f"channel {channel!r} has only {count} blocks; need at least 2"
                 )
-            stddev = np.sqrt(np.maximum(m2, 0.0) / count)
+            # row by row, so that few Python ints are alive at once
+            s = sums.astype(np.int64).astype(object)
+            scatter = np.empty((N_BANDS, N_BANDS))
+            for i, row in enumerate(gram.astype(np.int64)):
+                scatter[i] = count * row.astype(object) - s[i] * s
+            spread = ((_DCT_MATRIX @ scatter) * _DCT_MATRIX).sum(axis=1)
+            mean = _DCT_MATRIX @ sums / count
+            stddev = np.sqrt(np.maximum(spread, 0.0)) / count
             channels[channel] = (count, _frozen(mean), _frozen(stddev))
         return FrequencySummary(channels, self.source_digest)
 

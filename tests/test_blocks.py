@@ -1,8 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from statjpeg.blocks import assemble_plane, block_grid, partition_blocks
+from statjpeg import blocks
+from statjpeg.blocks import assemble_plane, block_grid, partition_blocks, sample_strips
 from statjpeg.errors import InvalidInputError
+from statjpeg.image import RasterImage
 
 
 def test_single_block_plane():
@@ -53,3 +60,31 @@ def test_assemble_rounds_and_clamps():
     assert np.all(plane == 255)
     blocks = np.full((1, 8, 8), -0.5)  # half away from zero -> -1
     assert np.all(assemble_plane(blocks, 8, 8) == 127)
+
+
+@settings(max_examples=60)
+@given(
+    data=st.data(),
+    # gray, luma-only RGB and 3-component RGB
+    layout=st.sampled_from([(1, 1), (3, 1), (3, 3)]),
+    # one block row per strip, a few rows, one strip per image
+    strip_samples=st.sampled_from([1, 300, 1 << 40]),
+)
+def test_sample_strips_hold_integers_in_the_shifted_sample_range(data, layout, strip_samples):
+    # FrequencyStats sums exact integer products of these samples
+    channels, count = layout
+    height, width = data.draw(st.tuples(st.integers(1, 45), st.integers(1, 45)))
+    img = RasterImage(width, height, tuple(
+        data.draw(hnp.arrays(np.uint8, (height, width))) for _ in range(channels)
+    ))
+    rows, cols = block_grid(width, height)
+    seen = 0
+    with mock.patch.object(blocks, "_STRIP_SAMPLES", strip_samples):
+        for first, strips in sample_strips(img, count):
+            assert first == seen and len(strips) == count
+            for strip in strips:
+                assert strip.dtype == np.float64 and strip.shape[1] == cols * 8
+                assert np.array_equal(strip, np.trunc(strip))
+                assert strip.min() >= -128 and strip.max() <= 127
+            seen += strip.shape[0] // 8 * cols
+    assert seen == rows * cols

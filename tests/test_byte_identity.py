@@ -9,9 +9,13 @@ pixel path: an RGB image with two tables and a drop set whose last strip
 is partial and padded, and a gray image one block wide, the width at which
 a batched DCT product changes bits.
 
-The statistics digests were recorded before the band statistics became
-plain arrays.  They cover the ``analyze`` JSON and CSV in both channel
-modes and the tables ``design-table`` derives from them.
+The ``design-table`` digests were recorded before the band statistics
+became plain arrays; the ``analyze`` digests, of its JSON and CSV in both
+channel modes and of a per-channel JSON over images several strips tall,
+when the band statistics came to be computed exactly from integer sample
+moments, which moved the last bits of the means and deviations but not the
+designed tables.  A last test keeps the deviations within 1e-12 of the
+largest band of numpy's two-pass deviation of the DCT coefficients.
 
 The benchmark digests were recorded before the table sources became one
 registry.  They cover ``benchmark --csv``, its printed summary and its
@@ -29,7 +33,13 @@ import numpy as np
 import pytest
 
 from statjpeg import blocks, cli
+from statjpeg.blocks import partition_blocks
+from statjpeg.color import color_convert_forward
+from statjpeg.corpus import scan_corpus
+from statjpeg.dct import forward_dct
+from statjpeg.imgfile import load_image
 from statjpeg.jpeg import decode_image, encode_image
+from statjpeg.stats import load_stats
 from statjpeg.synth import generate_corpus, synth_image
 from statjpeg.tables import rm_hf_table, same_q_table, save_table, standard_table
 
@@ -113,8 +123,8 @@ def test_bytes_and_pixels_match_recorded(name):
 
 # output -> SHA-256 of the files it writes
 RECORDED_STATS = {
-    "analyze-luma": "e2121b50dd4aaae0bc5c28487e9a3ffd16617e98d4f3b957b41611979fd0721c",
-    "analyze-per-channel": "e007d664a764681f5bad702ee2c60072b0124e39d6c4f61d7539a6dc94fbb459",
+    "analyze-luma": "a3fa6bc57f2ac3b071654dcea2ab0a0232d2b3409ef7a195b6d25e06965f0d0f",
+    "analyze-per-channel": "0549b5f46119c62306b337eafcbe71ca38bb496b667696cd4cf9b7c4058d68d4",
     "design-table-y": "dbe4e4f1f278bcd5d38c5e53c9fae27227559f7bf85fbe744b80aa3e94e94958",
     "design-table-chroma": "b4159ca69fafc2eed5822f40519c03627be2932d8ec9a1c84157435463cdf4b9",
 }
@@ -141,7 +151,7 @@ def test_statistics_outputs_match_recorded(tmp_path):
 
 
 # per-channel ``analyze`` JSON over one 530x139 image per class
-RECORDED_MULTI_STRIP_STATS = "fea75240c5d675d2b257537c9fe3552a3634a23318897965e926940f760f5198"
+RECORDED_MULTI_STRIP_STATS = "ce65b9184ae34f1cfd11be1ed68c358972a833d1f74b0cb61ea17a1b1a9e5465"
 
 
 def test_multi_strip_statistics_match_recorded(tmp_path):
@@ -207,3 +217,21 @@ def test_statistics_and_benchmark_hold_at_any_strip_height(
     test_multi_strip_statistics_match_recorded(tmp_path / "multi-strip")
     (tmp_path / "benchmark").mkdir()
     test_benchmark_outputs_match_recorded(tmp_path / "benchmark", monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("size", [(37, 53), (139, 530)], ids=["37x53", "530x139"])
+def test_analyze_deltas_match_numpy_two_pass_std(tmp_path, size):
+    corpus = generate_corpus(tmp_path / "corpus", images_per_class=1, size=size)
+    stats = tmp_path / "stats.json"
+    argv = ["analyze", str(corpus), "--channel-mode", "per-channel", "--out", str(stats)]
+    assert cli.main(argv) == 0
+    coeffs = {"y": [], "chroma": []}
+    for path in scan_corpus(corpus).image_paths():
+        y, cb, cr = color_convert_forward(load_image(path))
+        for channel, plane in (("y", y), ("chroma", cb), ("chroma", cr)):
+            coeffs[channel].append(forward_dct(partition_blocks(plane)).reshape(-1, 64))
+    summary = load_stats(stats)
+    for channel, blocks_of in coeffs.items():
+        want = np.concatenate(blocks_of).std(axis=0)  # numpy's std is two-pass
+        got = summary.deltas(channel)
+        assert np.abs(got - want).max() <= 1e-12 * want.max()

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -87,7 +88,7 @@ def block_coefficients(images):
 
 
 class TestAccumulator:
-    """The per-channel (count, mean[64], m2[64]) moments of FrequencyStats."""
+    """The per-channel (count, sums[64], gram[64, 64]) moments of FrequencyStats."""
 
     def test_scalar_updates_match_numpy(self, rng):
         # one-block images: every fold adds a single sample per band
@@ -95,11 +96,11 @@ class TestAccumulator:
         stats = FrequencyStats()
         for img in images:
             stats.accumulate_image(img)
-        count, mean, m2 = stats.moments["y"]
+        count, mean, stddev = stats.finalize().channels["y"]
         coeffs = block_coefficients(images)
         assert count == 300
         np.testing.assert_allclose(mean, coeffs.mean(axis=0), rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(np.sqrt(m2 / count), coeffs.std(axis=0), rtol=1e-9)
+        np.testing.assert_allclose(stddev, coeffs.std(axis=0), rtol=1e-9)
 
     def test_batch_equals_scalar(self, rng):
         arr = rng.integers(0, 256, size=(8, 8 * 100))
@@ -107,11 +108,10 @@ class TestAccumulator:
         scalar = FrequencyStats()
         for j in range(100):
             scalar.accumulate_image(gray_image(arr[:, 8 * j:8 * j + 8]))
-        b_count, b_mean, b_m2 = batched.moments["y"]
-        s_count, s_mean, s_m2 = scalar.moments["y"]
-        assert b_count == s_count == 100
-        np.testing.assert_allclose(b_mean, s_mean, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(b_m2, s_m2, rtol=1e-9)
+        assert batched.total_blocks == scalar.total_blocks == 100
+        for got, want in zip(batched.moments["y"], scalar.moments["y"]):
+            assert np.array_equal(got, want)
+        assert batched.finalize() == scalar.finalize()
 
     def test_merge_is_order_insensitive(self, rng):
         # chunks whose spreads differ by two orders of magnitude
@@ -126,9 +126,23 @@ class TestAccumulator:
         for c in reversed(chunks):
             right.merge(c)
         assert left.total_blocks == right.total_blocks == 12
-        np.testing.assert_allclose(
-            left.finalize().deltas(), right.finalize().deltas(), rtol=1e-9, atol=1e-12
+        assert np.array_equal(left.finalize().deltas(), right.finalize().deltas())
+        assert left.finalize() == right.finalize()
+
+    def test_merging_into_itself_30_times_is_exact(self, rng):
+        # scaling exact integer sums by a power of two is exact, so this
+        # reaches 2**30 times the blocks without the data
+        stats = FrequencyStats("per-channel").accumulate_image(
+            RasterImage.from_array(rng.integers(0, 256, size=(24, 40, 3)).astype(np.uint8))
         )
+        want = stats.finalize()
+        for _ in range(30):
+            stats.merge(copy.deepcopy(stats))
+        got = stats.finalize()
+        for channel, (count, mean, stddev) in want.channels.items():
+            assert got.channels[channel][0] == count * 2**30
+            assert np.array_equal(got.channels[channel][1], mean)
+            assert np.array_equal(got.channels[channel][2], stddev)
 
     def test_empty_accumulator_invariants(self):
         stats = FrequencyStats("per-channel")
@@ -172,7 +186,8 @@ class TestFrequencyStats:
         for img in reversed(images):
             backward.accumulate_image(img)
         a, b = forward.finalize().deltas(), backward.finalize().deltas()
-        np.testing.assert_allclose(a, b, rtol=1e-9)
+        assert np.array_equal(a, b)
+        assert forward.finalize() == backward.finalize()
 
     def test_parallel_merge_equals_serial(self, rng):
         images = [gray_image(rng.integers(0, 256, size=(16, 16))) for _ in range(4)]
@@ -184,9 +199,8 @@ class TestFrequencyStats:
         part2 = FrequencyStats()
         part2.accumulate_image(images[2]).accumulate_image(images[3])
         merged = part1.merge(part2)
-        np.testing.assert_allclose(
-            merged.finalize().deltas(), serial.finalize().deltas(), rtol=1e-9
-        )
+        assert np.array_equal(merged.finalize().deltas(), serial.finalize().deltas())
+        assert merged.finalize() == serial.finalize()
 
     def test_band_counts_all_equal(self, rng):
         stats = FrequencyStats()
