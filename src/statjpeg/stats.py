@@ -41,6 +41,11 @@ STATS_SCHEMA_VERSION = 1
 # the 2-D DCT of a row-major 8x8 block as one 64x64 matrix: band 8u+v
 _DCT_MATRIX = np.kron(_BASIS, _BASIS)
 
+# Blocks per float32 Gram product.  A product of two samples is at most 2**14
+# in magnitude, so the sums over 1024 blocks stay exact float32 integers (at
+# most 2**24), and the float64 accumulators take them exactly.
+_GRAM_BLOCKS = 1 << 10
+
 
 def write_json(doc, path):
     """Write ``doc`` as JSON indented by 2, plus a newline.  NaN and the
@@ -154,10 +159,14 @@ class FrequencyStats:
             for channel, planes in channels.items():
                 for i in planes:
                     height, width = strips[i].shape
-                    x = (strips[i].reshape(height // 8, 8, width // 8, 8)
-                         .transpose(0, 2, 1, 3).reshape(-1, N_BANDS))
-                    self._add(channel, x.shape[0], x.sum(axis=0), x.T @ x)
-            del strips, x  # none is held while the next strip's are made
+                    blocks = np.ascontiguousarray(
+                        strips[i].reshape(height // 8, 8, width // 8, 8).transpose(0, 2, 1, 3),
+                        dtype=np.float32,
+                    ).reshape(-1, N_BANDS)
+                    for first in range(0, len(blocks), _GRAM_BLOCKS):
+                        x = blocks[first:first + _GRAM_BLOCKS]
+                        self._add(channel, len(x), x.sum(axis=0), x.T @ x)
+            del strips, blocks, x  # none is held while the next strip's are made
         return self
 
     def merge(self, other):

@@ -144,6 +144,18 @@ class TestAccumulator:
             assert np.array_equal(got.channels[channel][1], mean)
             assert np.array_equal(got.channels[channel][2], stddev)
 
+    def test_strip_past_float32_exactness_sums_exactly(self, rng):
+        # one strip of 2048 blocks of samples -128 and 127: a single float32
+        # Gram product of it would pass 2**24 and round
+        plane = rng.choice(np.array([0, 255], dtype=np.uint8), size=(8, 8 * 2048))
+        stats = FrequencyStats().accumulate_image(gray_image(plane))
+        x = partition_blocks(plane).reshape(-1, 64).astype(np.int64)
+        count, sums, gram = stats.moments["y"]
+        assert count == 2048
+        assert np.array_equal(sums, x.sum(axis=0))
+        assert np.array_equal(gram, x.T @ x)
+        assert np.abs(x.T @ x).max() > 2**24
+
     def test_empty_accumulator_invariants(self):
         stats = FrequencyStats("per-channel")
         stats.merge(FrequencyStats("per-channel"))
