@@ -14,14 +14,19 @@ a word of their own.  The words are ORed into big-endian 64-bit output
 words at their cumulative bit positions, and 0xFF stuffing is one
 ``bytes.replace`` over the finished scan.
 
-Decoding reads the scan through a window: ``win[p]`` holds the 16 scan
+Decoding reads the scan through a window: ``win[p]`` holds the 13 scan
 bits that start at bit ``p``, built with numpy for a bounded span of scan
-bytes at a time.  A symbol is then one 16-bit table lookup, ``lut[win[p]]``,
-and one ``p += consume``, with no bit accumulator to refill.  When a code
-and its magnitude bits fit in 16 bits together, the entry already holds
-the bits to consume, the step to the coefficient's index and the
-sign-extended value; otherwise it holds the code length and the symbol,
-and the magnitude bits are read from the window next.
+bytes at a time.  A symbol is then one table lookup, ``lut[win[p]]``, and
+one ``p += consume``, with no bit accumulator to refill.  The entry is that
+of a 16-bit table: when a code and its magnitude bits fit in 16 bits
+together, it holds the bits to consume, the step to the coefficient's
+index and the sign-extended value; otherwise it holds the code length and
+the symbol, and the magnitude bits are read from the window next.  The
+table's first level holds the entry itself wherever the next 13 bits
+settle it.  The few prefixes that need more (a code and magnitude of 14 to
+16 bits together) point to 8 entries indexed by the top 3 bits of
+``win[p + 13]``, so the four Annex K tables take about a quarter of the
+memory of flat 65,536-entry ones.
 """
 
 import functools
@@ -97,7 +102,11 @@ AC_CHROMA_VALUES = (
     0xF9, 0xFA,
 )
 
-_LUT_BITS = 16
+# Bits the decode table's first level is indexed by; its second level takes
+# the 3 bits after them (see _decode_lut).  entropy_decode's symbol loop
+# spells these out: ``win[p]`` for the first level, ``win[p + 13] >> 10``
+# for the second.
+_LUT_BITS = 13
 
 # The encoder codes a chunk of MCUs per vectorized pass: at most _CHUNK_MCUS
 # MCUs whose blocks code at most _CHUNK_WORDS words, or one MCU.  Its
@@ -113,7 +122,8 @@ _WINDOW_BYTES = 1 << 14
 
 # Bits one block can read, for any byte string: a DC code and its magnitude
 # (16 + 11 bits), then at most 63 AC reads of a code and its magnitude
-# (16 + 15 bits each).  That is 1,980 bits, and one 16-bit peek follows.
+# (16 + 15 bits each).  That is 1,980 bits, and one lookup follows, which
+# reads the 13-bit windows at its bit and 13 bits on: 26 bits.
 _BLOCK_BITS = 2048
 
 _INVALID = (0, 0, 0)  # decode-table entry for a prefix no code starts with
@@ -181,28 +191,51 @@ def _extend(raw, size):
 
 @functools.lru_cache(maxsize=32)
 def _decode_lut(bits, values, dc):
-    """16-bit prefix lookup table of ``(consume, advance, value)`` entries.
+    """Two-level prefix lookup table of ``(consume, advance, value)`` entries.
 
-    ``consume > 0``: the next ``consume`` bits are a code and its magnitude
-    bits, and the coefficient (for DC, the difference) is ``value``.  An AC
-    coefficient sits ``advance`` (its zero run + 1) places after the one
-    before it; for DC, ``advance`` is 0.  ZRL is read as the coefficient 0
-    after 15 zeros, so its entry is ``(length, 16, 0)``, the only AC entry
-    with value 0.  ``consume < 0``: the code is
-    ``-consume`` bits long and ``advance`` holds its symbol; magnitude bits,
-    if any, follow.  ``consume == 0``: no code has this prefix.  Equal
-    entries share one tuple.
+    Each value of the next 16 scan bits has an entry.  ``consume > 0``: the
+    next ``consume`` bits are a code and its magnitude bits, and the
+    coefficient (for DC, the difference) is ``value``.  An AC coefficient
+    sits ``advance`` (its zero run + 1) places after the one before it; for
+    DC, ``advance`` is 0.  ZRL is read as the coefficient 0 after 15 zeros,
+    so its entry is ``(length, 16, 0)``, the only AC entry with value 0.
+    ``consume < 0``: the code is ``-consume`` bits long and ``advance``
+    holds its symbol; magnitude bits, if any, follow.  ``consume == 0``: no
+    code has this prefix.
+
+    The table is indexed by the next 13 bits.  Entry ``i`` is the 16-bit
+    entry of every 16 bits that start with ``i`` when those eight entries
+    are equal, and otherwise ``(0, 1, sub)``: ``sub[j]`` is the 16-bit entry
+    of ``i`` followed by the 3 bits ``j``.  Equal entries share one tuple.
     """
+    lut, short = [], []  # short: the entries of runs of fewer than 8
+    for entry, count in _lut_runs(bits, values, dc):
+        if count < 8:
+            short += [entry] * count
+        else:
+            # Runs of 8 or more start on a multiple of 8, but for the last one.
+            fill = -len(short) % 8
+            short += [entry] * fill
+            lut += _first_level(short)
+            short = []
+            lut += itertools.repeat(entry, (count - fill) >> 3)
+    lut += _first_level(short)
     # a tuple, as it is shared by every call through the cache
-    return tuple(itertools.chain.from_iterable(_lut_runs(bits, values, dc)))
+    return tuple(lut)
+
+
+def _first_level(entries):
+    """The first-level entries for 16-bit ``entries``, eight to each."""
+    return [g[0] if g.count(g[0]) == 8 else (0, 1, g) for g in zip(*[iter(entries)] * 8)]
 
 
 def _lut_runs(bits, values, dc):
-    """The decode table as runs of one repeated entry, in prefix order.
+    """The 16-bit decode entries as ``(entry, count)`` runs, in prefix order.
 
     Canonical codes are consecutive (T.81 Annex C), so the prefixes of the
-    codes tile the table from 0 up, and only the prefixes after the last
-    one start no code.
+    codes tile the 16-bit values from 0 up, and only the values after the
+    last one start no code.  Each run but the last is ``count``, a power of
+    two, entries from a multiple of ``count``.
     """
     end = 0
     for symbol, code, length in _canonical_codes(bits, values):
@@ -212,15 +245,15 @@ def _lut_runs(bits, values, dc):
         else:
             advance, size = (symbol >> 4) + 1, symbol & 0x0F
             fast = size > 0 or symbol == 0xF0  # ZRL: 16 zeros, value 0
-        spare = _LUT_BITS - length - size
+        spare = 16 - length - size
         if fast and spare >= 0:
             for raw in range(1 << size):
                 value = _extend(raw, size) if size else 0
-                yield itertools.repeat((length + size, advance, value), 1 << spare)
+                yield (length + size, advance, value), 1 << spare
         else:
-            yield itertools.repeat((-length, symbol, 0), 1 << (_LUT_BITS - length))
-        end = (code + 1) << (_LUT_BITS - length)
-    yield itertools.repeat(_INVALID, (1 << _LUT_BITS) - end)
+            yield (-length, symbol, 0), 1 << (16 - length)
+        end = (code + 1) << (16 - length)
+    yield _INVALID, (1 << 16) - end
 
 
 class HuffmanTable:
@@ -239,7 +272,7 @@ class HuffmanTable:
             raise InvalidInputError(
                 f"Huffman table declares {sum(bits)} codes but lists {len(values)} values"
             )
-        if any(not 0 <= v <= 255 for v in values):
+        if values and not 0 <= min(values) <= max(values) <= 255:
             raise InvalidInputError("Huffman symbol values must be bytes (0..255)")
         kraft = sum(count << (16 - length) for length, count in enumerate(bits, 1))
         if kraft > 1 << 16:
@@ -478,7 +511,7 @@ def entropy_encode(component_blocks, dc_tables, ac_tables):
 
 
 def _window(buf, first, stop):
-    """``win[i]``: the 16 bits of ``buf`` that start at bit ``8 * first + i``.
+    """``win[i]``: the 13 bits of ``buf`` that start at bit ``8 * first + i``.
 
     Covers ``i < 8 * (stop - first)``, reading 0xFF past the end of ``buf``.
     One unaligned big-endian 32-bit view at byte stride gives every byte's
@@ -489,7 +522,8 @@ def _window(buf, first, stop):
     words = np.ndarray((n,), dtype=">u4", buffer=padded, strides=(1,))
     win = np.empty((n, 8), dtype=np.uint16)
     for bit in range(8):
-        np.right_shift(words, 16 - bit, out=win[:, bit], casting="unsafe")
+        np.right_shift(words, 32 - _LUT_BITS - bit, out=win[:, bit], casting="unsafe")
+    win &= (1 << _LUT_BITS) - 1
     return memoryview(win.reshape(-1))
 
 
@@ -524,6 +558,13 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
         # Each 0xFF before ``unstuffed`` lost the 0x00 stuffed after it.
         offset = base_offset + unstuffed + buf.count(b"\xff", 0, unstuffed)
         return CorruptStreamError(message, offset=offset)
+
+    def run_past(at, ln, value):
+        # A 16-bit entry's run ends past the block at bit ``at``.  Report what
+        # a code-then-magnitude read would: the code is ``ln`` minus the
+        # magnitude bits.
+        what = "zero" if value == 0 else "coefficient"  # 0: ZRL
+        return corrupt(f"{what} run past end of block", at + ln - abs(value).bit_length())
 
     out = [np.zeros(64 * n_mcus, dtype=np.int16) for _ in range(n_comp)]
     comps = [
@@ -561,14 +602,21 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
             ln, size, value = dc_lut[win[p]]
             if ln > 0:
                 p += ln
-            elif ln:
-                p -= ln
-                if size > 11:
-                    raise corrupt(f"invalid DC magnitude category {size}", origin + p)
-                value = _extend(win[p] >> (16 - size), size)
-                p += size
             else:
-                raise corrupt("invalid Huffman prefix", origin + p)
+                if not ln:  # no code, or a second level for the next 3 bits
+                    if not size:
+                        raise corrupt("invalid Huffman prefix", origin + p)
+                    ln, size, value = value[win[p + 13] >> 10]
+                    if not ln:
+                        raise corrupt("invalid Huffman prefix", origin + p)
+                if ln > 0:
+                    p += ln
+                else:
+                    p -= ln
+                    if size > 11:
+                        raise corrupt(f"invalid DC magnitude category {size}", origin + p)
+                    value = _extend(win[p] >> (13 - size), size)
+                    p += size
             value += preds[c]
             preds[c] = value
             try:
@@ -585,14 +633,23 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
                 if ln > 0:
                     k += advance
                     if k > end:
-                        # Report what a code-then-magnitude read would: the
-                        # code is ``ln`` minus the magnitude bits.
-                        consumed = origin + p + ln - abs(value).bit_length()
-                        what = "zero" if value == 0 else "coefficient"  # 0: ZRL
-                        raise corrupt(f"{what} run past end of block", consumed)
+                        raise run_past(origin + p, ln, value)
                     p += ln
                     coef[k] = value
-                elif ln:
+                else:
+                    if not ln:
+                        if not advance:
+                            raise corrupt("invalid Huffman prefix", origin + p)
+                        ln, advance, value = value[win[p + 13] >> 10]
+                        if ln > 0:
+                            k += advance
+                            if k > end:
+                                raise run_past(origin + p, ln, value)
+                            p += ln
+                            coef[k] = value
+                            continue
+                        if not ln:
+                            raise corrupt("invalid Huffman prefix", origin + p)
                     p -= ln
                     size = advance & 0x0F
                     if size:
@@ -601,14 +658,17 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
                             raise corrupt(
                                 "coefficient run past end of block", origin + p
                             )
-                        coef[k] = _extend(win[p] >> (16 - size), size)
+                        raw = win[p]
+                        if size > 13:
+                            raw = (raw << 13 | win[p + 13]) >> (26 - size)
+                        else:
+                            raw >>= 13 - size
+                        coef[k] = _extend(raw, size)
                         p += size
                     elif advance:
                         raise corrupt(f"invalid AC symbol 0x{advance:02X}", origin + p)
                     else:  # EOB
                         break
-                else:
-                    raise corrupt("invalid Huffman prefix", origin + p)
 
     consumed = origin + p
     if consumed > total:

@@ -49,8 +49,8 @@ def app0_segment():
 
 def dqt_segment(table_id, table):
     """8-bit precision (Pq=0) table, entries stored in zig-zag order."""
-    zz = table.values[ZIGZAG_INDEX]
-    return _segment(DQT, struct.pack("B", table_id) + bytes(int(v) for v in zz))
+    zz = table.values[ZIGZAG_INDEX]  # steps in [1, 255] (QuantTable)
+    return _segment(DQT, struct.pack("B", table_id) + zz.astype(np.uint8).tobytes())
 
 
 def sof0_segment(width, height, components):

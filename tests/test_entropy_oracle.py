@@ -531,6 +531,7 @@ def test_full_code_space_ones_heavy_bytes_match_oracle(data, n_mcus):
 
 # Windows of 1 and 7 scan bytes are rebuilt at nearly every MCU, so every
 # decode below crosses window boundaries; the default one holds 16 KB.
+# FULL_TABLES' codes run to 16 bits, so their second-level reads do too.
 SMALL_WINDOWS = [1, 7]
 
 
@@ -539,6 +540,10 @@ def test_small_windows_match_oracle(monkeypatch, window_bytes):
     monkeypatch.setattr(huffman, "_WINDOW_BYTES", window_bytes)
     test_decode_matches_oracle()
     test_decode_arbitrary_bytes_matches_oracle()
+    test_full_code_space_scan_decodes()
+    for tail in (b"", b"\xff\x00\xfe", b"\x00"):
+        test_full_code_space_truncated_and_garbage_tails_match_oracle(tail)
+    test_full_code_space_ones_heavy_bytes_match_oracle()
 
 
 def window_starts(monkeypatch, data, n_mcus, tables):

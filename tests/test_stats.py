@@ -159,9 +159,10 @@ class TestAccumulator:
     def test_empty_accumulator_invariants(self):
         stats = FrequencyStats("per-channel")
         stats.merge(FrequencyStats("per-channel"))
-        for count, mean, m2 in stats.moments.values():
+        for count, sums, gram in stats.moments.values():
             assert count == 0
-            assert not mean.any() and not m2.any()
+            assert sums.shape == (64,) and gram.shape == (64, 64)
+            assert not sums.any() and not gram.any()
         assert stats.total_blocks == 0
 
 
