@@ -1,11 +1,11 @@
 """Alternated benchmark pairs of two checkouts, summarised per metric.
 
     python3 scripts/ab_pairs.py PARENT CHANGE --workload codec-hq --pairs 10 \
-        --seeds 301.. [--seconds 20]
+        --seeds 301..
 
 Pair ``i`` runs ``perfbench/run.py --trace 0`` of each checkout at seed
-``S + i`` (``--seeds S..``, or ``S..E`` for exactly those seeds), each in
-its own checkout.  Pairs 1, 3, ... run the parent first and pairs 2, 4,
+``S + i`` (``--seeds S..``) for the ``run_seconds`` of ``BENCHMARK.json``,
+each in its own checkout.  Pairs 1, 3, ... run the parent first and pairs 2, 4,
 ... the change, so drift in machine speed falls on both sides alike.  Each
 run's result line is echoed to standard error as it comes.
 
@@ -25,15 +25,11 @@ from pathlib import Path
 
 
 def parse_seeds(text, pairs):
-    """``S..`` gives ``pairs`` seeds from S; ``S..E`` gives S to E, ``pairs`` of them."""
-    first, sep, last = text.partition("..")
-    if not sep or not first.isdigit() or not (last == "" or last.isdigit()):
-        raise ValueError(f"--seeds must read S.. or S..E, not {text!r}")
-    first = int(first)
-    stop = first + pairs if last == "" else int(last) + 1
-    if stop - first != pairs:
-        raise ValueError(f"--seeds {text} gives {stop - first} seeds for {pairs} pairs")
-    return list(range(first, stop))
+    """``S..`` gives ``pairs`` seeds from S."""
+    first, sep, rest = text.partition("..")
+    if not sep or rest or not first.isdigit():
+        raise ValueError(f"--seeds must read S.., not {text!r}")
+    return list(range(int(first), int(first) + pairs))
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -94,8 +90,7 @@ def main(argv=None):
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", required=True, help="S.. or S..E")
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seeds", required=True, help="S..")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -104,7 +99,8 @@ def main(argv=None):
     except ValueError as exc:
         parser.error(str(exc))
     with open(args.change / "BENCHMARK.json") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
     pairs = []
     for i, seed in enumerate(seeds):
@@ -112,14 +108,14 @@ def main(argv=None):
         results = {}
         for side in order:
             try:
-                results[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
+                results[side] = run_once(getattr(args, side), args.workload, seed, seconds)
             except RuntimeError as exc:
                 sys.exit(f"ab_pairs: {exc}")
             print(f"pair {i + 1} seed {seed} {side}: {json.dumps(results[side])}",
                   file=sys.stderr, flush=True)
         pairs.append((results["parent"], results["change"]))
     print(f"{args.workload}: {len(pairs)} alternated pairs, seeds {seeds[0]}..{seeds[-1]}, "
-          f"{args.seconds:g} s each")
+          f"{seconds:g} s each")
     print(format_summary(summarize(metrics, pairs), pairs))
     return 0
 

@@ -102,11 +102,12 @@ AC_CHROMA_VALUES = (
     0xF9, 0xFA,
 )
 
-# Bits the decode table's first level is indexed by; its second level takes
-# the 3 bits after them (see _decode_lut).  entropy_decode's symbol loop
-# spells these out: ``win[p]`` for the first level, ``win[p + 13] >> 10``
-# for the second.
-_LUT_BITS = 13
+# The decode table's layout is fixed at 13 + 3 bits: its first level is
+# indexed by the next 13 bits and its second level by the 3 after them (see
+# _decode_lut).  _window builds 13-bit values, and entropy_decode's symbol
+# loop reads ``win[p]`` for the first level, ``win[p + 13] >> 10`` for the
+# second and ``win[p + 13]`` for magnitude bits past the first 13, so the
+# three must change together.
 
 # The encoder codes a chunk of MCUs per vectorized pass: at most _CHUNK_MCUS
 # MCUs whose blocks code at most _CHUNK_WORDS words, or one MCU.  Its
@@ -115,7 +116,7 @@ _LUT_BITS = 13
 _CHUNK_MCUS = 1024
 _CHUNK_WORDS = 1 << 14
 
-# Scan bytes the decoder builds its 16-bit window for at a time.  The window
+# Scan bytes the decoder builds its window for at a time.  The window
 # takes 16 bytes per scan byte, so this bounds it at about 256 KiB for any
 # scan.
 _WINDOW_BYTES = 1 << 14
@@ -522,8 +523,8 @@ def _window(buf, first, stop):
     words = np.ndarray((n,), dtype=">u4", buffer=padded, strides=(1,))
     win = np.empty((n, 8), dtype=np.uint16)
     for bit in range(8):
-        np.right_shift(words, 32 - _LUT_BITS - bit, out=win[:, bit], casting="unsafe")
-    win &= (1 << _LUT_BITS) - 1
+        np.right_shift(words, 19 - bit, out=win[:, bit], casting="unsafe")
+    win &= 0x1FFF
     return memoryview(win.reshape(-1))
 
 

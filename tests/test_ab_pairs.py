@@ -59,15 +59,11 @@ def test_formatted_summary_counts_failed_checks():
     ]
 
 
-@pytest.mark.parametrize("text, pairs, seeds", [
-    ("301..", 3, [301, 302, 303]),
-    ("7..9", 3, [7, 8, 9]),
-])
-def test_seed_ranges(text, pairs, seeds):
-    assert ab_pairs.parse_seeds(text, pairs) == seeds
+def test_seed_ranges():
+    assert ab_pairs.parse_seeds("301..", 3) == [301, 302, 303]
 
 
-@pytest.mark.parametrize("text", ["301", "a..", "3..1", "1..5", "-1.."])
+@pytest.mark.parametrize("text", ["301", "a..", "-1..", "7..9"])
 def test_bad_seed_ranges_are_rejected(text):
     with pytest.raises(ValueError):
         ab_pairs.parse_seeds(text, 3)
