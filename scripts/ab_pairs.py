@@ -13,11 +13,15 @@ For each end-to-end metric of ``BENCHMARK.json`` it then prints the parent's
 and the change's medians, the parent's interquartile range and the number
 of pairs in which the change is strictly better, and last the failed checks
 of each side.  It reports and never judges; it exits non-zero only if a run
-fails to produce a result line.
+fails to produce a result line, or before any run if either checkout holds a
+``__pycache__`` under ``src/`` or ``perfbench/``: bytecode written by another
+version of a module is stale, and recompiling it shows in ``setup_s``.  Every
+run gets ``PYTHONDONTWRITEBYTECODE=1``, so the runs write none.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -32,12 +36,19 @@ def parse_seeds(text, pairs):
     return list(range(int(first), int(first) + pairs))
 
 
+def bytecode_caches(checkout):
+    """The ``__pycache__`` directories under ``src/`` and ``perfbench/`` of ``checkout``."""
+    return sorted(path for top in ("src", "perfbench")
+                  for path in (checkout / top).rglob("__pycache__"))
+
+
 def run_once(checkout, workload, seed, seconds):
     """The result object of one ``perfbench/run.py`` run in ``checkout``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -98,6 +109,10 @@ def main(argv=None):
         seeds = parse_seeds(args.seeds, args.pairs)
     except ValueError as exc:
         parser.error(str(exc))
+    caches = bytecode_caches(args.parent) + bytecode_caches(args.change)
+    if caches:
+        sys.exit("ab_pairs: remove the bytecode caches of both checkouts first:\n"
+                 + "\n".join(map(str, caches)))
     with open(args.change / "BENCHMARK.json") as fh:
         benchmark = json.load(fh)
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]

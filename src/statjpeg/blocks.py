@@ -79,16 +79,14 @@ def partition_blocks(plane):
     return blocks.reshape(rows * cols, BLOCK_SIZE, BLOCK_SIZE)
 
 
-def unshift_samples(samples):
-    """Round inverse-DCT output, clamp to [-128, 127] and un-shift by +128,
-    in place; the float64 array then holds the uint8 samples."""
+def round_samples(samples):
+    """Round inverse-DCT output half away from zero and clamp it to
+    [-128, 127], in place: the level-shifted samples, still float64."""
     # round half away from zero is trunc(x + copysign(0.5, x)), and clamping
     # to integer bounds commutes with trunc
     samples += np.copysign(0.5, samples)
     np.trunc(samples, out=samples)
-    np.clip(samples, -128, 127, out=samples)
-    samples += 128.0
-    return samples
+    return np.clip(samples, -128, 127, out=samples)
 
 
 def assemble_plane(pixel_blocks, width, height):
@@ -111,4 +109,6 @@ def assemble_plane(pixel_blocks, width, height):
         .astype(np.float64, order="C")
         .reshape(rows * BLOCK_SIZE, cols * BLOCK_SIZE)
     )
-    return unshift_samples(padded)[:height, :width].astype(np.uint8)
+    samples = round_samples(padded)[:height, :width]
+    samples += 128.0
+    return samples.astype(np.uint8)

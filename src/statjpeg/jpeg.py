@@ -12,7 +12,7 @@ zig-zag arrays, one call per image.
 import numpy as np
 
 from . import huffman, jfif
-from .blocks import block_grid, sample_strips, strip_bounds, unshift_samples
+from .blocks import block_grid, round_samples, sample_strips, strip_bounds
 from .color import rgb_samples
 from .dct import BLOCK_SIZE, forward_dct_rows, inverse_dct_rows
 from .errors import UnsupportedSizeError
@@ -134,11 +134,12 @@ def decode_image(data):
         block_rows = -(-(stop - top) // BLOCK_SIZE)
         first = top // BLOCK_SIZE * cols
         samples = [
-            unshift_samples(inverse_dct_rows(dequantize_strip(
+            round_samples(inverse_dct_rows(dequantize_strip(
                 scan[first:first + block_rows * cols], table, block_rows
             )))[:stop - top, :width]
             for scan, table in zip(scans, tables)
         ]
+        samples[0] += 128.0  # Y or gray; rgb_samples takes Cb and Cr shifted
         if len(samples) == 3:
             samples = rgb_samples(*samples)
         for plane, strip in zip(planes, samples):

@@ -1,7 +1,9 @@
-"""scripts/ab_pairs.py: seed ranges and the per-metric summary of canned runs."""
+"""scripts/ab_pairs.py: seed ranges, the per-metric summary of canned runs and
+the refusal of checkouts that hold bytecode caches."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,32 @@ def test_seed_ranges():
 def test_bad_seed_ranges_are_rejected(text):
     with pytest.raises(ValueError):
         ab_pairs.parse_seeds(text, 3)
+
+
+def test_checkouts_with_bytecode_caches_are_refused(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    stale = [parent / "src" / "statjpeg" / "__pycache__", change / "perfbench" / "__pycache__"]
+    for path in stale:
+        path.mkdir(parents=True)
+    (change / "tests" / "__pycache__").mkdir(parents=True)  # outside src/ and perfbench/
+
+    def no_runs(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(ab_pairs, "run_once", no_runs)
+    with pytest.raises(SystemExit) as exc:
+        ab_pairs.main([str(parent), str(change), "--workload", "stats", "--seeds", "1.."])
+    assert exc.value.code.splitlines()[1:] == [str(path) for path in stale]
+
+
+def test_runs_write_no_bytecode(monkeypatch):
+    seen = {}
+
+    def fake_run(args, **kwargs):
+        seen.update(kwargs)
+        return subprocess.CompletedProcess(args, 0, result_line(0.1, 2.0, 50.0), "")
+
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    assert ab_pairs.run_once(ROOT, "stats", 1, 20)["correct"]
+    assert seen["cwd"] == ROOT and seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"

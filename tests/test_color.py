@@ -4,7 +4,7 @@ import pytest
 from statjpeg.color import (
     color_convert_forward,
     color_convert_inverse,
-    rgb_to_ycbcr,
+    ycbcr_samples,
 )
 from statjpeg.errors import InvalidInputError
 from statjpeg.image import RasterImage
@@ -66,7 +66,8 @@ def test_forward_inverse_round_trip_error(rng):
 
 def test_float_formulas_match_matrix_identities():
     # Y of pure gray equals the gray level; chroma is neutral.
-    y, cb, cr = rgb_to_ycbcr(100.0, 100.0, 100.0)
-    assert abs(y - 100.0) < 1e-12
-    assert abs(cb - 128.0) < 1e-12
-    assert abs(cr - 128.0) < 1e-12
+    gray = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    y, cb, cr = ycbcr_samples(gray, gray, gray)
+    np.testing.assert_array_equal(y, gray.astype(np.float64), strict=True)
+    np.testing.assert_array_equal(cb, np.full((16, 16), 128.0), strict=True)
+    np.testing.assert_array_equal(cr, np.full((16, 16), 128.0), strict=True)
