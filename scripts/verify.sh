@@ -9,11 +9,15 @@
 # Last, it prints the line count of each src/statjpeg module and their
 # total, then that total beside the one at HEAD, so a change can quote its
 # size before and after.
+# It exports PYTHONDONTWRITEBYTECODE=1: otherwise the pytest step writes
+# src/statjpeg/__pycache__, and scripts/ab_pairs.py then refuses the
+# checkout.
 #
 #   scripts/verify.sh
 set -uo pipefail
 cd "$(dirname "$0")/.." || exit 2
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONDONTWRITEBYTECODE=1
 
 status=0
 python3 -m pytest -q --continue-on-collection-errors || status=1

@@ -26,7 +26,10 @@ table's first level holds the entry itself wherever the next 13 bits
 settle it.  The few prefixes that need more (a code and magnitude of 14 to
 16 bits together) point to 8 entries indexed by the top 3 bits of
 ``win[p + 13]``, so the four Annex K tables take about a quarter of the
-memory of flat 65,536-entry ones.
+memory of flat 65,536-entry ones.  A code-alone entry is turned into the
+same ``(consume, advance, value)`` triple once its magnitude is read, so
+every entry, from either level, ends in one run check, one ``p += consume``
+and one store.
 """
 
 import functools
@@ -106,7 +109,7 @@ AC_CHROMA_VALUES = (
 # indexed by the next 13 bits and its second level by the 3 after them (see
 # _decode_lut).  _window builds 13-bit values, and entropy_decode's symbol
 # loop reads ``win[p]`` for the first level, ``win[p + 13] >> 10`` for the
-# second and ``win[p + 13]`` for magnitude bits past the first 13, so the
+# second and ``(win[p] << 13 | win[p + 13])`` for magnitude bits, so the
 # three must change together.
 
 # The encoder codes a chunk of MCUs per vectorized pass: at most _CHUNK_MCUS
@@ -123,8 +126,10 @@ _WINDOW_BYTES = 1 << 14
 
 # Bits one block can read, for any byte string: a DC code and its magnitude
 # (16 + 11 bits), then at most 63 AC reads of a code and its magnitude
-# (16 + 15 bits each).  That is 1,980 bits, and one lookup follows, which
-# reads the 13-bit windows at its bit and 13 bits on: 26 bits.
+# (16 + 15 bits each).  That is 1,980 bits.  Every read (a first-level
+# lookup, a second-level lookup or a magnitude read) peeks at most 26 bits
+# from the bit where it starts, ``win[p]`` and ``win[p + 13]``, so one more
+# lookup after the block reaches 2,006 bits at most.
 _BLOCK_BITS = 2048
 
 _INVALID = (0, 0, 0)  # decode-table entry for a prefix no code starts with
@@ -560,13 +565,6 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
         offset = base_offset + unstuffed + buf.count(b"\xff", 0, unstuffed)
         return CorruptStreamError(message, offset=offset)
 
-    def run_past(at, ln, value):
-        # A 16-bit entry's run ends past the block at bit ``at``.  Report what
-        # a code-then-magnitude read would: the code is ``ln`` minus the
-        # magnitude bits.
-        what = "zero" if value == 0 else "coefficient"  # 0: ZRL
-        return corrupt(f"{what} run past end of block", at + ln - abs(value).bit_length())
-
     out = [np.zeros(64 * n_mcus, dtype=np.int16) for _ in range(n_comp)]
     comps = [
         (
@@ -585,9 +583,9 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
     # rebuilt at the first MCU that starts past ``limit``.  Past the scan's
     # end it reads 0xFF padding.  No table assigns the all-ones code, so a
     # lookup that starts past the end finds no code: only one symbol (up to
-    # 16 code and 15 magnitude bits) and one peek reach past the end, and a
-    # window starts at most 4 bytes after it.  A symbol that ends the final
-    # block past the end is caught after the loop.
+    # 16 code and 15 magnitude bits) and one 26-bit peek reach past the end,
+    # and a window starts at most 4 bytes after it.  A symbol that ends the
+    # final block past the end is caught after the loop.
     margin = _BLOCK_BITS * n_comp
     reach = margin // 8 + 2  # window bytes past ``limit``, with the last peek
     origin = p = 0  # bits consumed = origin + p
@@ -601,23 +599,20 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
             limit = 8 * (last - first)
         for c, dc_lut, ac_lut, coef in comps:
             ln, size, value = dc_lut[win[p]]
-            if ln > 0:
-                p += ln
-            else:
+            if ln <= 0:
                 if not ln:  # no code, or a second level for the next 3 bits
                     if not size:
                         raise corrupt("invalid Huffman prefix", origin + p)
                     ln, size, value = value[win[p + 13] >> 10]
                     if not ln:
                         raise corrupt("invalid Huffman prefix", origin + p)
-                if ln > 0:
-                    p += ln
-                else:
-                    p -= ln
+                if ln < 0:  # the code alone; its magnitude bits follow
+                    at = p - ln
                     if size > 11:
-                        raise corrupt(f"invalid DC magnitude category {size}", origin + p)
-                    value = _extend(win[p] >> (13 - size), size)
-                    p += size
+                        raise corrupt(f"invalid DC magnitude category {size}", origin + at)
+                    value = _extend((win[at] << 13 | win[at + 13]) >> (26 - size), size)
+                    ln = size - ln
+            p += ln
             value += preds[c]
             preds[c] = value
             try:
@@ -631,45 +626,29 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
             end = base + 63
             while k < end:
                 ln, advance, value = ac_lut[win[p]]
-                if ln > 0:
-                    k += advance
-                    if k > end:
-                        raise run_past(origin + p, ln, value)
-                    p += ln
-                    coef[k] = value
-                else:
+                if ln <= 0:
                     if not ln:
                         if not advance:
                             raise corrupt("invalid Huffman prefix", origin + p)
                         ln, advance, value = value[win[p + 13] >> 10]
-                        if ln > 0:
-                            k += advance
-                            if k > end:
-                                raise run_past(origin + p, ln, value)
-                            p += ln
-                            coef[k] = value
-                            continue
                         if not ln:
                             raise corrupt("invalid Huffman prefix", origin + p)
-                    p -= ln
-                    size = advance & 0x0F
-                    if size:
-                        k += (advance >> 4) + 1
-                        if k > end:
-                            raise corrupt(
-                                "coefficient run past end of block", origin + p
-                            )
-                        raw = win[p]
-                        if size > 13:
-                            raw = (raw << 13 | win[p + 13]) >> (26 - size)
-                        else:
-                            raw >>= 13 - size
-                        coef[k] = _extend(raw, size)
-                        p += size
-                    elif advance:
-                        raise corrupt(f"invalid AC symbol 0x{advance:02X}", origin + p)
-                    else:  # EOB
-                        break
+                    if ln < 0:  # the code alone; ``advance`` holds its symbol
+                        at, size = p - ln, advance & 0x0F
+                        if not size:
+                            if advance:
+                                raise corrupt(f"invalid AC symbol 0x{advance:02X}", origin + at)
+                            p = at
+                            break  # EOB
+                        value = _extend((win[at] << 13 | win[at + 13]) >> (26 - size), size)
+                        ln, advance = size - ln, (advance >> 4) + 1
+                k += advance
+                if k > end:  # reported where the code ends, before its magnitude
+                    what = "zero" if value == 0 else "coefficient"  # 0: ZRL
+                    code_end = origin + p + ln - abs(value).bit_length()
+                    raise corrupt(f"{what} run past end of block", code_end)
+                p += ln
+                coef[k] = value
 
     consumed = origin + p
     if consumed > total:

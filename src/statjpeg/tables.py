@@ -3,12 +3,13 @@ coefficient spread to quantization steps, band segmentation, the scaled
 standard tables, and the comparison baselines (uniform step, removal of the
 top high-frequency components)."""
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParamsError
-from .quant import ZIGZAG_INDEX, QuantTable
+from .quant import ZIGZAG_INDEX, QuantTable, integers
 from .stats import N_BANDS, rank_bands, read_versioned, write_json
 
 TABLE_SCHEMA_VERSION = 1
@@ -48,7 +49,8 @@ class PlmParams:
     Small spread (<= t1) uses intercept ``a`` and slope ``k1``; the middle
     range uses ``b``/``k2``; large spread (> t2) uses ``c``/``k3``.  Every
     step is floored at ``q_min``.  Defaults are the stock operating point
-    for large natural-image corpora.
+    for large natural-image corpora.  The eight mapping constants must be
+    finite and ``q_min`` an integer.
     """
 
     a: float = 255.0
@@ -62,6 +64,13 @@ class PlmParams:
     q_min: int = 5
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "k1", "k2", "k3", "t1", "t2"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParamsError(f"{name} must be finite, got {getattr(self, name)}")
+        try:
+            integers([self.q_min], "q_min")
+        except InvalidInputError:
+            raise InvalidParamsError(f"q_min must be an integer, got {self.q_min!r}") from None
         if not self.t1 < self.t2:
             raise InvalidParamsError(f"t1 must be < t2, got {self.t1} >= {self.t2}")
         if not 1 <= self.q_min <= 255:
@@ -135,6 +144,7 @@ def segment_bands(deltas, mode="magnitude"):
 
 def standard_table(qf, which="luma"):
     """Annex-K table scaled by the conventional quality-factor rule."""
+    (qf,) = integers([qf], "quality factor")
     if not 1 <= qf <= 100:
         raise InvalidInputError(f"quality factor must be in [1, 100], got {qf}")
     if which == "luma":
@@ -150,9 +160,10 @@ def standard_table(qf, which="luma"):
 
 def same_q_table(q):
     """The uniform-step baseline: one step for all 64 bands."""
+    (q,) = integers([q], "uniform step")
     if not 1 <= q <= 255:
         raise InvalidInputError(f"uniform step must be in [1, 255], got {q}")
-    return QuantTable(np.full(N_BANDS, q), provenance={"kind": "same-q", "q": int(q)})
+    return QuantTable(np.full(N_BANDS, q), provenance={"kind": "same-q", "q": q})
 
 
 def rm_hf_table(base, n):
@@ -162,11 +173,12 @@ def rm_hf_table(base, n):
     component); the n highest zig-zag positions become the table's drop set,
     whose quantized coefficients :func:`quant.quantize` stores as zero.
     """
+    (n,) = integers([n], "component count")
     if not 0 <= n <= 63:
         raise InvalidInputError(f"component count must be in [0, 63], got {n}")
     provenance = {
         "kind": "rm-hf",
-        "n": int(n),
+        "n": n,
         "drop_zigzag": list(range(N_BANDS - n, N_BANDS)),
         "base": base.provenance or {"kind": "custom"},
     }

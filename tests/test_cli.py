@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -227,6 +228,16 @@ class TestDesignTable:
         table = load_table(out)
         # HF bands (all small deltas in this corpus) now map to a flat 99
         assert (table.values == 99).sum() > 0
+
+    @pytest.mark.parametrize("flag, value", [("--c", "1e400"), ("--a", "nan"), ("--t2", "inf")])
+    def test_non_finite_constant_exits_two(self, stats_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "table.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            code = main(["design-table", str(stats_file), "--out", str(out), flag, value])
+        assert code == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompressDecompress:

@@ -80,6 +80,12 @@ class TestSampling:
         with pytest.raises(InvalidInputError):
             FrequencyStats("bogus")
 
+    @pytest.mark.parametrize("k", [1.5, 3.0, True, "3"])
+    def test_interval_must_be_an_integer(self, k):
+        manifest = manifest_of([("a", 10)])
+        with pytest.raises(InvalidInputError, match="interval k must be integers"):
+            sample_images(manifest, k)
+
 
 def block_coefficients(images):
     return np.concatenate(

@@ -82,6 +82,17 @@ class TestPlm:
         with pytest.raises(InvalidParamsError):
             PlmParams(k1=-1.0)
 
+    @pytest.mark.parametrize("name", ["a", "b", "c", "k1", "k2", "k3", "t1", "t2"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_constants_are_rejected(self, name, value):
+        with pytest.raises(InvalidParamsError, match=f"^{name} must be finite"):
+            PlmParams(**{name: value})
+
+    @pytest.mark.parametrize("q_min", [2.5, 5.0, True, "5", None])
+    def test_q_min_must_be_an_integer(self, q_min):
+        with pytest.raises(InvalidParamsError, match="^q_min must be an integer"):
+            PlmParams(q_min=q_min)
+
     def test_delta_validation(self):
         with pytest.raises(InvalidInputError):
             derive_plm_table(np.full(64, np.nan))
@@ -159,6 +170,15 @@ class TestStandardTable:
         with pytest.raises(InvalidInputError):
             standard_table(50, "luminance")
 
+    @pytest.mark.parametrize("qf", [50.5, 50.0, True, "50", None])
+    def test_quality_factor_must_be_an_integer(self, qf):
+        with pytest.raises(InvalidInputError, match="quality factor must be integers"):
+            standard_table(qf)
+
+    def test_provenance_records_a_plain_int(self):
+        provenance = standard_table(np.int64(50)).provenance
+        assert provenance["qf"] == 50 and type(provenance["qf"]) is int
+
     def test_monotone_in_quality(self):
         sizes = [standard_table(qf).values.sum() for qf in (10, 30, 50, 80, 100)]
         assert sizes == sorted(sizes, reverse=True)
@@ -173,6 +193,16 @@ class TestBaselines:
             same_q_table(0)
         with pytest.raises(InvalidInputError):
             same_q_table(256)
+
+    @pytest.mark.parametrize("q", [4.5, 4.0, True, "4"])
+    def test_same_q_step_must_be_an_integer(self, q):
+        with pytest.raises(InvalidInputError, match="uniform step must be integers"):
+            same_q_table(q)
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, True, "3"])
+    def test_rm_hf_count_must_be_an_integer(self, n):
+        with pytest.raises(InvalidInputError, match="component count must be integers"):
+            rm_hf_table(standard_table(100), n)
 
     def test_rm_hf_drop_set(self):
         base = standard_table(100)
