@@ -9,7 +9,7 @@ from .blocks import sample_strips
 from .color import luma_samples
 from .dct import forward_dct_rows
 from .errors import InvalidInputError
-from .quant import ZIGZAG_POSITION, integers, round_half_away
+from .quant import ZIGZAG_POSITION, integers
 
 # perfbench/spans.py wraps these layer functions in this module by name, so
 # they stay imported here although the strip pipeline no longer calls them.
@@ -78,10 +78,10 @@ def coefficient_sparsity(img, table):
     The blocks are the encoder's own luma scan, drop set included, so the
     figures describe what the file stores.
     """
-    zeros = jpeg._scan_blocks(img, [table])[0][:, ZIGZAG_POSITION[1:]] == 0
+    zeros = jpeg._scan_blocks(img, [table])[0][:, 1:] == 0  # AC in scan order
     return SparsityReport(
         zero_fraction=float(zeros.mean()),
-        per_band=tuple(float(f) for f in zeros.mean(axis=0)),
+        per_band=tuple(float(f) for f in zeros.mean(axis=0)[ZIGZAG_POSITION[1:] - 1]),
     )
 
 
@@ -107,7 +107,8 @@ def histogram(values, bin_width):
     if values.size == 0:
         raise InvalidInputError("cannot histogram an empty selection")
     with np.errstate(over="ignore"):
-        bins = round_half_away(values / bin_width)
+        bins = values / bin_width
+    bins += np.copysign(0.5, bins)  # half away from zero; the int64 cast truncates
     if not (np.abs(bins) < 2.0**63).all():  # NaN and inf fail too
         raise InvalidInputError("histogram values must be finite, within 2**63 bins of 0")
     indices, counts = np.unique(bins.astype(np.int64), return_counts=True)

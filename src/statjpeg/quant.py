@@ -1,7 +1,8 @@
 """Quantization tables, coefficient quantization, and the zig-zag scan.
 
-The codec quantizes strips in the plane's row layout (``*_strip``); the
-other functions take ``(..., 8, 8)`` blocks or ``(..., 64)`` vectors.
+The codec's ``*_strip`` functions quantize a strip in zig-zag rows, the
+order in which DQT stores the steps; the other functions take
+``(..., 8, 8)`` blocks or ``(..., 64)`` vectors.
 """
 
 import functools
@@ -107,19 +108,6 @@ class QuantTable:
         return f"QuantTable({kind}, dc={self.values[0]})"
 
 
-def round_half_away(x):
-    """Round to nearest integer, halves away from zero."""
-    x = np.asarray(x)
-    # trunc(x + copysign(0.5, x)) adds 0.5 to |x| exactly as
-    # sign(x) * floor(|x| + 0.5) does, so the two agree on every input but
-    # -0.0, which the sign form maps to +0.0.  Adding 0.0 first does the same
-    # and leaves every other value as it is.
-    rounded = np.add(x, 0.0, out=np.empty(x.shape), dtype=np.float64)
-    rounded += np.copysign(0.5, rounded)
-    np.trunc(rounded, out=rounded)
-    return rounded[()]
-
-
 def quantize(coeffs, table):
     """c' = round(c / q), halves away from zero.  Accepts (..., 8, 8) batches."""
     scaled = np.divide(coeffs, table.grid(), dtype=np.float64)
@@ -155,27 +143,20 @@ def _strip_gather(block_rows, block_cols):
     return scan_index, row_index
 
 
-def _strip_steps(table, width):
-    """The steps as float64 rows 8 x ``width``: the grid repeated per block."""
-    steps = np.empty((8, width // 8, 8))
-    steps[...] = table.grid()[:, None, :]
-    return steps.reshape(8, width)
-
-
 def quantize_strip(coeffs, table, out):
     """Quantize an ``(8k, 8m)`` strip of coefficients into zig-zag rows.
 
     Writes the strip's k * m blocks as rows of ``out``'s integer dtype to the
     start of ``out``, equal to ``zigzag(quantize(blocks, table))`` of the
-    same blocks.  ``coeffs`` (float64, row layout) is overwritten.
+    same blocks.  ``coeffs`` (float64, row layout) is left as it was.
     """
     height, width = coeffs.shape
     scan_index, _ = _strip_gather(height // 8, width // 8)
-    scaled = coeffs.reshape(height // 8, 8, width)
-    scaled /= _strip_steps(table, width)
+    scaled = np.take(coeffs, scan_index)  # zig-zag rows, the order DQT stores the steps in
+    scaled /= table.values[ZIGZAG_INDEX]
     scaled += np.copysign(0.5, scaled)  # as in quantize
     rows = out[:len(scan_index)]
-    np.take(scaled.astype(out.dtype), scan_index, out=rows, mode="clip")  # unbuffered
+    rows[...] = scaled  # the cast is the truncation
     if table._drop.size:
         rows[:, ZIGZAG_POSITION[table._drop]] = 0
 
@@ -184,12 +165,7 @@ def dequantize_strip(scan, table, block_rows):
     """Zig-zag rows of a strip ``block_rows`` blocks tall -> dequantized
     float64 coefficients in the strip's row layout."""
     _, row_index = _strip_gather(block_rows, len(scan) // block_rows)
-    natural = np.take(scan, row_index)
-    height, width = natural.shape
-    coeffs = np.multiply(
-        natural.reshape(block_rows, 8, width), _strip_steps(table, width), dtype=np.float64
-    )
-    return coeffs.reshape(height, width)
+    return np.take(np.multiply(scan, table.values[ZIGZAG_INDEX], dtype=np.float64), row_index)
 
 
 def zigzag(natural):

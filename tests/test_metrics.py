@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pixel_oracle as oracle
 from statjpeg import blocks
@@ -148,6 +150,37 @@ class TestHistogram:
     def test_non_finite_bin_width_rejected(self, width):
         with pytest.raises(InvalidInputError):
             histogram(np.ones(4), bin_width=width)
+
+
+# Quotients value / width: ties at +-(k + 0.5), values just off a tie,
+# signed zeros and magnitudes past 2**52, where x + 0.5 itself rounds.
+TIES = st.integers(-300, 300).map(lambda k: k + 0.5)
+QUOTIENTS = (
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.49999999999999994])
+    | TIES
+    | TIES.map(lambda t: np.nextafter(t, np.inf if t > 0 else -np.inf))
+    | st.floats(2.0**52, 2.0**64)
+    | st.floats(-(2.0**64), -(2.0**52))
+    | st.floats(-1e6, 1e6)
+)
+# Powers of two scale the quotients exactly, so ties stay ties.
+WIDTHS = st.sampled_from([2.0**-8, 1.0, 8.0]) | st.floats(1e-300, 1e300)
+
+
+@given(st.lists(QUOTIENTS, min_size=1, max_size=64), WIDTHS)
+def test_bins_are_half_away_rounding_of_value_over_width(quotients, width):
+    with np.errstate(over="ignore"):
+        values = np.array(quotients) * width
+        bins = oracle.round_half_away(values / width)
+        centers = np.unique(bins) * width
+    if not (np.abs(bins) < 2.0**63).all() or not np.isfinite(centers).all():
+        with pytest.raises(InvalidInputError):
+            histogram(values, width)
+        return
+    indices, counts = np.unique(bins.astype(np.int64), return_counts=True)
+    assert histogram(values, width) == [
+        (float(k * width), int(n)) for k, n in zip(indices, counts)
+    ]
 
 
 def test_band_coefficients_extraction(rng):

@@ -58,17 +58,6 @@ def rounding_array(seed, shape):
     return values
 
 
-@given(st.lists(ROUNDING_VALUES, min_size=1, max_size=64))
-def test_round_half_away(values):
-    x = np.array(values)
-    assert_identical(quant.round_half_away(x), oracle.round_half_away(x))
-
-
-@given(ROUNDING_VALUES)
-def test_round_half_away_scalar(value):
-    assert_identical(quant.round_half_away(value), oracle.round_half_away(value))
-
-
 @given(
     hnp.arrays(np.float64, (8, 8), elements=ROUNDING_VALUES),
     hnp.arrays(np.int64, 64, elements=st.integers(1, 255)),
