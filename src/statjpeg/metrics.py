@@ -9,7 +9,7 @@ from .blocks import sample_strips
 from .color import luma_samples
 from .dct import forward_dct_rows
 from .errors import InvalidInputError
-from .quant import ZIGZAG_POSITION, integers
+from .quant import ZIGZAG_POSITION, finite_real, integers
 
 # perfbench/spans.py wraps these layer functions in this module by name, so
 # they stay imported here although the strip pipeline no longer calls them.
@@ -20,6 +20,9 @@ from .quant import quantize  # noqa: F401
 
 
 def compression_rate(reference_bytes, candidate_bytes):
+    reference_bytes, candidate_bytes = integers(
+        [reference_bytes, candidate_bytes], "byte counts"
+    )
     if reference_bytes <= 0 or candidate_bytes <= 0:
         raise InvalidInputError(
             f"byte counts must be positive, got {reference_bytes}/{candidate_bytes}"
@@ -101,19 +104,22 @@ def histogram(values, bin_width):
     Bin k covers [(k - 0.5) * w, (k + 0.5) * w) by half-away rounding of
     value / w, so symmetric data yields a symmetric histogram.
     """
-    if not 0 < bin_width < np.inf:  # NaN fails too
-        raise InvalidInputError(f"bin width must be positive and finite, got {bin_width}")
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    width = finite_real(bin_width, "bin width")
+    if not width > 0:
+        raise InvalidInputError(f"bin width must be positive, got {bin_width!r}")
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":  # bools and strings are not values
+        raise InvalidInputError(f"histogram values must be numbers, got dtype {values.dtype}")
     if values.size == 0:
         raise InvalidInputError("cannot histogram an empty selection")
     with np.errstate(over="ignore"):
-        bins = values / bin_width
+        bins = np.divide(values.reshape(-1), width, dtype=np.float64)
     bins += np.copysign(0.5, bins)  # half away from zero; the int64 cast truncates
     if not (np.abs(bins) < 2.0**63).all():  # NaN and inf fail too
         raise InvalidInputError("histogram values must be finite, within 2**63 bins of 0")
     indices, counts = np.unique(bins.astype(np.int64), return_counts=True)
     with np.errstate(over="ignore"):
-        centers = indices * bin_width
+        centers = indices * width
     if not np.isfinite(centers).all():
         raise InvalidInputError("histogram bin centers must be finite")
     return [(float(c), int(n)) for c, n in zip(centers, counts)]

@@ -6,6 +6,7 @@ order in which DQT stores the steps; the other functions take
 """
 
 import functools
+import math
 import numbers
 import operator
 from collections.abc import Mapping
@@ -49,6 +50,18 @@ def integers(items, what):
         return tuple(map(operator.index, items))
     except TypeError:
         raise InvalidInputError(f"{what} must be integers") from None
+
+
+def finite_real(value, what):
+    """Finite-real rule: ``value`` as a float.  NaN, infinities, ints past
+    float64, bools and strings raise InvalidInputError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int past float64
+            pass
+    raise InvalidInputError(f"{what} must be finite and real, got {value!r}")
 
 
 def integer_array(values, low, high, what):

@@ -107,12 +107,24 @@ def sample_images(manifest, k):
     return selected
 
 
+def spread_profile(deltas):
+    """The spread-profile rule: ``deltas`` as 64 float64 values, each finite
+    and >= 0.  Bools, strings and other non-numeric dtypes raise
+    InvalidInputError."""
+    d = np.asarray(deltas)
+    if d.dtype.kind not in "iuf":
+        raise InvalidInputError(f"deltas must be real numbers, got dtype {d.dtype}")
+    if d.shape != (N_BANDS,):
+        raise InvalidInputError(f"expected 64 deltas, got shape {d.shape}")
+    d = d.astype(np.float64)
+    if not (np.isfinite(d).all() and d.min() >= 0):
+        raise InvalidInputError("deltas must be finite and >= 0")
+    return d
+
+
 def rank_bands(deltas):
     """Band indices sorted by descending spread, ties by zig-zag position."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.shape != (N_BANDS,):
-        raise InvalidInputError(f"expected 64 values, got shape {deltas.shape}")
-    return np.lexsort((ZIGZAG_POSITION, -deltas))
+    return np.lexsort((ZIGZAG_POSITION, -spread_profile(deltas)))
 
 
 class FrequencyStats:

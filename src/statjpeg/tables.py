@@ -3,14 +3,13 @@ coefficient spread to quantization steps, band segmentation, the scaled
 standard tables, and the comparison baselines (uniform step, removal of the
 top high-frequency components)."""
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParamsError
-from .quant import ZIGZAG_INDEX, QuantTable, integers
-from .stats import N_BANDS, rank_bands, read_versioned, write_json
+from .quant import ZIGZAG_INDEX, QuantTable, finite_real, integers
+from .stats import N_BANDS, rank_bands, read_versioned, spread_profile, write_json
 
 TABLE_SCHEMA_VERSION = 1
 
@@ -50,7 +49,7 @@ class PlmParams:
     range uses ``b``/``k2``; large spread (> t2) uses ``c``/``k3``.  Every
     step is floored at ``q_min``.  Defaults are the stock operating point
     for large natural-image corpora.  The eight mapping constants must be
-    finite and ``q_min`` an integer.
+    finite real numbers and ``q_min`` an integer.
     """
 
     a: float = 255.0
@@ -65,8 +64,10 @@ class PlmParams:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "k1", "k2", "k3", "t1", "t2"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParamsError(f"{name} must be finite, got {getattr(self, name)}")
+            try:
+                finite_real(getattr(self, name), name)
+            except InvalidInputError as exc:
+                raise InvalidParamsError(str(exc)) from None
         try:
             integers([self.q_min], "q_min")
         except InvalidInputError:
@@ -87,11 +88,7 @@ def derive_plm_table(deltas, params=None):
     each entry is rounded half-up and clamped to [q_min, 255].
     """
     p = params or PlmParams()
-    d = np.asarray(deltas, dtype=np.float64)
-    if d.shape != (N_BANDS,):
-        raise InvalidInputError(f"expected 64 deltas, got shape {d.shape}")
-    if not np.all(np.isfinite(d)) or d.min() < 0:
-        raise InvalidInputError("deltas must be finite and >= 0")
+    d = spread_profile(deltas)
     q_raw = np.where(
         d <= p.t1, p.a - p.k1 * d, np.where(d <= p.t2, p.b - p.k2 * d, p.c - p.k3 * d)
     )
@@ -102,8 +99,8 @@ def derive_plm_table(deltas, params=None):
 def auto_thresholds(deltas):
     """Optional data-driven thresholds: t1 at the MF/HF rank boundary, t2 at
     the LF/MF boundary."""
-    ranked = rank_bands(deltas)
-    d = np.asarray(deltas, dtype=np.float64)[ranked]
+    d = spread_profile(deltas)
+    d = d[rank_bands(d)]
     t1, t2 = float(d[LF_COUNT + MF_COUNT]), float(d[LF_COUNT])
     if not t1 < t2:
         raise InvalidParamsError(

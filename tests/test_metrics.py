@@ -32,6 +32,14 @@ class TestCompressionRate:
         assert compression_rate(1000, 250) == 4.0
         assert compression_rate(123, 123) == 1.0
 
+    @pytest.mark.parametrize(
+        "counts", [(float("nan"), 1), (True, True), ("3", 1), (10, 2.5), (None, 1)],
+        ids=["nan", "bools", "string", "float", "none"],
+    )
+    def test_byte_counts_must_be_integers(self, counts):
+        with pytest.raises(InvalidInputError, match="byte counts must be integers"):
+            compression_rate(*counts)
+
     def test_zero_sizes_rejected(self):
         with pytest.raises(InvalidInputError):
             compression_rate(0, 10)
@@ -150,6 +158,28 @@ class TestHistogram:
     def test_non_finite_bin_width_rejected(self, width):
         with pytest.raises(InvalidInputError):
             histogram(np.ones(4), bin_width=width)
+
+    @pytest.mark.parametrize("width", [True, "2", None, 10**400], ids=["bool", "str", "none", "big"])
+    def test_bin_width_must_be_a_real_number(self, width):
+        with pytest.raises(InvalidInputError, match="bin width must be finite and real"):
+            histogram(np.ones(4), bin_width=width)
+
+    @pytest.mark.parametrize(
+        "values", [["1.0", "3"], [True, False], [1.0, None], [1 + 2j]],
+        ids=["strings", "bools", "objects", "complex"],
+    )
+    def test_values_must_be_numbers(self, values):
+        with pytest.raises(InvalidInputError, match="values must be numbers"):
+            histogram(values, 1.0)
+
+    def test_integer_bin_width_centers_do_not_wrap(self):
+        # the int64 product 5e18 * 2 used to wrap to -8.4e18
+        assert histogram([1e19], 2) == [(1e19, 1)]
+
+    def test_float32_values_bin_in_float64(self):
+        # 2.25 / 0.3 is 7.5 in float64; in float32, 0.3 rounds up and the
+        # quotient falls below the tie into bin 7
+        assert histogram(np.float32([2.25]), 0.3) == [(8 * 0.3, 1)]
 
 
 # Quotients value / width: ties at +-(k + 0.5), values just off a tie,

@@ -3,6 +3,7 @@ import pytest
 
 from statjpeg.errors import InvalidInputError, InvalidParamsError, SchemaVersionError
 from statjpeg.quant import ZIGZAG_INDEX, ZIGZAG_POSITION, QuantTable
+from statjpeg.stats import rank_bands
 from statjpeg.tables import (
     STANDARD_LUMA,
     BandSegmentation,
@@ -88,6 +89,14 @@ class TestPlm:
         with pytest.raises(InvalidParamsError, match=f"^{name} must be finite"):
             PlmParams(**{name: value})
 
+    @pytest.mark.parametrize("name", ["a", "b", "c", "k1", "k2", "k3", "t1", "t2"])
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), "255", True, None], ids=["big", "-big", "str", "bool", "none"]
+    )
+    def test_constants_that_are_not_real_numbers_are_rejected(self, name, value):
+        with pytest.raises(InvalidParamsError, match=f"^{name} must be finite"):
+            PlmParams(**{name: value})
+
     @pytest.mark.parametrize("q_min", [2.5, 5.0, True, "5", None])
     def test_q_min_must_be_an_integer(self, q_min):
         with pytest.raises(InvalidParamsError, match="^q_min must be an integer"):
@@ -109,6 +118,32 @@ class TestPlm:
         assert t1 == ranked_deltas[28]
         with pytest.raises(InvalidParamsError):
             auto_thresholds(np.ones(64))
+
+
+BAD_PROFILES = {
+    "nan": [np.nan] * 64,
+    "nan-last": [*np.linspace(100.0, 1.0, 63), np.nan],
+    "inf": [np.inf] * 64,
+    "negative": [-1.0] * 64,
+    "strings": ["x"] * 64,
+    "numeric-strings": ["1.5"] * 64,
+    "bools": [True] * 64,
+    "objects": [None] * 64,
+    "short": [1.0] * 63,
+}
+SPREAD_CONSUMERS = {
+    "rank_bands": rank_bands,
+    "derive_plm_table": derive_plm_table,
+    "auto_thresholds": auto_thresholds,
+    "segment_bands": lambda deltas: segment_bands(deltas, "magnitude"),
+}
+
+
+@pytest.mark.parametrize("profile", BAD_PROFILES.values(), ids=BAD_PROFILES.keys())
+@pytest.mark.parametrize("consumer", SPREAD_CONSUMERS.values(), ids=SPREAD_CONSUMERS.keys())
+def test_every_spread_consumer_applies_one_profile_rule(consumer, profile):
+    with pytest.raises(InvalidInputError, match="deltas"):
+        consumer(profile)
 
 
 class TestSegmentation:
