@@ -105,7 +105,7 @@ def histogram(values, bin_width):
     value / w, so symmetric data yields a symmetric histogram.
     """
     width = finite_real(bin_width, "bin width")
-    if not width > 0:
+    if width <= 0:
         raise InvalidInputError(f"bin width must be positive, got {bin_width!r}")
     values = np.asarray(values)
     if values.dtype.kind not in "iuf":  # bools and strings are not values

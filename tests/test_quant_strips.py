@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pixel_oracle as oracle
+from test_quant import to_rows
 from statjpeg.quant import (
     ZIGZAG_INDEX,
     ZIGZAG_POSITION,
@@ -17,13 +18,6 @@ from statjpeg.quant import (
     dequantize_strip,
     quantize_strip,
 )
-
-
-def to_rows(blocks, block_rows):
-    """(k * m, 8, 8) raster-order blocks -> the (8k, 8m) strip they tile."""
-    m = len(blocks) // block_rows
-    return blocks.reshape(block_rows, m, 8, 8).transpose(0, 2, 1, 3).reshape(
-        8 * block_rows, 8 * m)
 
 
 def quotients(rng, shape):
