@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .quant import integer_array
+from .quant import integer_array, integers
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,7 @@ class RasterImage:
     planes: tuple = field(repr=False)
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise InvalidInputError(
-                f"image dimensions must be >= 1, got {self.width}x{self.height}"
-            )
+        integers([self.width, self.height], "image dimensions", 1)
         if len(self.planes) not in (1, 3):
             raise InvalidInputError(
                 f"images must have 1 or 3 channels, got {len(self.planes)}"

@@ -39,17 +39,25 @@ def _is_integer(value):
     )
 
 
-def integers(items, what):
-    """Exact-integer rule: a tuple of ints; floats (1.0 too), bools and strings fail."""
+def integers(items, what, low=None, high=None):
+    """Exact-integer rule: a tuple of ints; floats (1.0 too), bools and strings
+    fail.  With ``low``, each item must be >= low and, with ``high`` too, <= high."""
     if isinstance(items, (bytes, bytearray)):  # what the JPEG parser passes
-        return tuple(items)
-    try:
         items = tuple(items)
-        if any(isinstance(item, bool) for item in items):
-            raise TypeError  # index(True) is 1
-        return tuple(map(operator.index, items))
-    except TypeError:
-        raise InvalidInputError(f"{what} must be integers") from None
+    else:
+        try:
+            items = tuple(items)
+            if any(isinstance(item, bool) for item in items):
+                raise TypeError  # index(True) is 1
+            items = tuple(map(operator.index, items))
+        except TypeError:
+            raise InvalidInputError(f"{what} must be integers") from None
+    if low is not None:
+        for item in items:
+            if item < low or high is not None and item > high:
+                span = f">= {low}" if high is None else f"in [{low}, {high}]"
+                raise InvalidInputError(f"{what} must be {span}, got {item}")
+    return items
 
 
 def finite_real(value, what):
@@ -100,11 +108,9 @@ class QuantTable:
         if provenance is not None and not isinstance(provenance, Mapping):
             raise InvalidInputError("table provenance must be a mapping")
         self.provenance = dict(provenance) if provenance else {}
-        drop = sorted(set(integers(self.provenance.get("drop_zigzag", ()), "drop_zigzag")))
-        if drop and (drop[0] < 0 or drop[-1] > 63):
-            raise InvalidInputError("drop positions must be zig-zag indices 0..63")
+        drop = integers(self.provenance.get("drop_zigzag", ()), "drop_zigzag", 0, 63)
         # natural-order indices of the dropped bands
-        self._drop = ZIGZAG_INDEX[drop]
+        self._drop = ZIGZAG_INDEX[sorted(set(drop))]
 
     def grid(self):
         return self.values.reshape(8, 8)

@@ -88,9 +88,7 @@ def sample_images(manifest, k):
     The running counter m starts at 1 within each class; an image is kept
     when m % k == 0.  Warns (EmptySampleWarning) when nothing is selected.
     """
-    (k,) = integers([k], "interval k")
-    if k < 1:
-        raise InvalidInputError(f"interval k must be >= 1, got {k}")
+    (k,) = integers([k], "interval k", 1)
     if not manifest.classes:
         raise InvalidInputError("corpus manifest has no classes")
     selected = []

@@ -141,9 +141,7 @@ def segment_bands(deltas, mode="magnitude"):
 
 def standard_table(qf, which="luma"):
     """Annex-K table scaled by the conventional quality-factor rule."""
-    (qf,) = integers([qf], "quality factor")
-    if not 1 <= qf <= 100:
-        raise InvalidInputError(f"quality factor must be in [1, 100], got {qf}")
+    (qf,) = integers([qf], "quality factor", 1, 100)
     if which == "luma":
         base = STANDARD_LUMA
     elif which == "chroma":
@@ -157,9 +155,7 @@ def standard_table(qf, which="luma"):
 
 def same_q_table(q):
     """The uniform-step baseline: one step for all 64 bands."""
-    (q,) = integers([q], "uniform step")
-    if not 1 <= q <= 255:
-        raise InvalidInputError(f"uniform step must be in [1, 255], got {q}")
+    (q,) = integers([q], "uniform step", 1, 255)
     return QuantTable(np.full(N_BANDS, q), provenance={"kind": "same-q", "q": q})
 
 
@@ -170,9 +166,7 @@ def rm_hf_table(base, n):
     component); the n highest zig-zag positions become the table's drop set,
     whose quantized coefficients :func:`quant.quantize` stores as zero.
     """
-    (n,) = integers([n], "component count")
-    if not 0 <= n <= 63:
-        raise InvalidInputError(f"component count must be in [0, 63], got {n}")
+    (n,) = integers([n], "component count", 0, 63)
     provenance = {
         "kind": "rm-hf",
         "n": n,
