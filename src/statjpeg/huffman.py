@@ -39,7 +39,7 @@ import re
 import numpy as np
 
 from .errors import CorruptStreamError, EncodingRangeError, InvalidInputError
-from .quant import integers
+from .quant import integers, real_array
 
 # 8-bit baseline: AC coefficients are coded by magnitude category <= 10.
 # DC is DPCM-coded, so its own bound is the 8-bit DCT range (|dc| <= 1024)
@@ -492,7 +492,9 @@ def entropy_encode(component_blocks, dc_tables, ac_tables):
     arrays = []
     n_mcus = None
     for blocks in component_blocks:
-        arr = np.asarray(blocks)
+        arr = real_array(blocks, "coefficient blocks")
+        if arr.dtype.kind == "f":  # a fraction would be truncated without a word
+            raise InvalidInputError(f"coefficient blocks must be integers, got dtype {arr.dtype}")
         if arr.ndim != 2 or arr.shape[1] != 64:
             raise InvalidInputError(f"expected (n, 64) block array, got {arr.shape}")
         if n_mcus is None:
@@ -545,6 +547,7 @@ def entropy_decode(data, n_mcus, dc_tables, ac_tables, base_offset=0):
     n_comp = len(dc_tables)
     if len(ac_tables) != n_comp:
         raise InvalidInputError("need one DC and one AC table per component")
+    (n_mcus,) = integers([n_mcus], "block count", 0)
     buf = _unstuff(data, base_offset)
     total = 8 * len(buf)
     # Every block takes at least 2 bits (a 1-bit DC code and a 1-bit EOB or

@@ -9,7 +9,7 @@ from .blocks import sample_strips
 from .color import luma_samples
 from .dct import forward_dct_rows
 from .errors import InvalidInputError
-from .quant import ZIGZAG_POSITION, finite_real, integers
+from .quant import ZIGZAG_POSITION, finite_real, integers, real_array
 
 # perfbench/spans.py wraps these layer functions in this module by name, so
 # they stay imported here although the strip pipeline no longer calls them.
@@ -101,9 +101,7 @@ def histogram(values, bin_width):
     width = finite_real(bin_width, "bin width")
     if width <= 0:
         raise InvalidInputError(f"bin width must be positive, got {bin_width!r}")
-    values = np.asarray(values)
-    if values.dtype.kind not in "iuf":  # bools and strings are not values
-        raise InvalidInputError(f"histogram values must be numbers, got dtype {values.dtype}")
+    values = real_array(values, "histogram values")
     if values.size == 0:
         raise InvalidInputError("cannot histogram an empty selection")
     with np.errstate(over="ignore"):

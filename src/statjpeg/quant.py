@@ -60,6 +60,18 @@ def integers(items, what, low=None, high=None):
     return items
 
 
+def real_array(values, what):
+    """Real-array rule: ``values`` as an integer or float array.  Ragged
+    lists, bools, strings and other dtypes raise InvalidInputError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged list
+        raise InvalidInputError(f"{what} must be a rectangular array") from None
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{what} must be numbers, got dtype {arr.dtype}")
+    return arr
+
+
 def finite_real(value, what):
     """Finite-real rule: ``value`` as a float.  NaN, infinities, ints past
     float64, bools and strings raise InvalidInputError."""

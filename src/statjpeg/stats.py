@@ -24,7 +24,7 @@ from .errors import (
     InvalidInputError,
     SchemaVersionError,
 )
-from .quant import ZIGZAG_POSITION, integers
+from .quant import ZIGZAG_POSITION, integers, real_array
 
 # perfbench/spans.py wraps these layer functions in this module by name, so
 # they stay imported here although the strip pipeline no longer calls them.
@@ -107,11 +107,8 @@ def sample_images(manifest, k):
 
 def spread_profile(deltas):
     """The spread-profile rule: ``deltas`` as 64 float64 values, each finite
-    and >= 0.  Bools, strings and other non-numeric dtypes raise
-    InvalidInputError."""
-    d = np.asarray(deltas)
-    if d.dtype.kind not in "iuf":
-        raise InvalidInputError(f"deltas must be real numbers, got dtype {d.dtype}")
+    and >= 0, by the real-array rule (:func:`quant.real_array`)."""
+    d = real_array(deltas, "deltas")
     if d.shape != (N_BANDS,):
         raise InvalidInputError(f"expected 64 deltas, got shape {d.shape}")
     d = d.astype(np.float64)
